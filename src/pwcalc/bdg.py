@@ -25,9 +25,9 @@ from .paths import SampledPath
 
 _REL_TOL = 1e-9
 
-# above this length the p>1 construction switches from one dense matrix to a
-# per-index pass, trading vectorization for O(K) memory
-_DENSE_LIMIT = 1200
+# cells per block of the p > 1 weight kernel: its temporaries stay near 1 MB
+# whatever the sequence length
+CELLS = 2**17
 
 # running maxima below _TINY are rescaled by _TINY_SCALE for the p = 1 weights:
 # every scaled square is then a normal float
@@ -95,6 +95,13 @@ class BdgCertificate:
         return self.holds1 and self.holds2
 
 
+def bdg_constant(p: float) -> float:
+    """C_p = 6^p (p-1)^(p-1), for p >= 1; it is 6 at p = 1."""
+    if not p >= 1.0:
+        raise ValueError("C_p needs p >= 1")
+    return 6.0**p * (p - 1.0) ** (p - 1.0)
+
+
 def _as_seq(x) -> DiscreteSequence:
     return x if isinstance(x, DiscreteSequence) else DiscreteSequence(np.asarray(x))
 
@@ -149,44 +156,37 @@ def _shift_weights(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _fg_dense(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
+def _fg(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
+    """f, g = p^2 e @ (a, b), e[k, l] = (x_k - x_{l-1}) / sqrt([x]_k - [x]_{l-1} + w[k, l]).
+
+    w[k, l] = max_{l<=m<=k} (x_m - x_{l-1})^2 is a running max down column l:
+    rows go in blocks of CELLS // K, each carrying the column maxima on, and
+    a block touches only the columns l <= k of its rows.
+    """
     x, br = s.x, s.bracket
     n = x.size
     xm1 = np.concatenate(([0.0], x[:-1]))  # x_{l-1}
     brm1 = np.concatenate(([0.0], br[:-1]))  # [x]_{l-1}
-    # windowed max_{l<=m<=k} (x_m - x_{l-1})^2 via a masked running max over k
-    sq = (x[:, None] - xm1[None, :]) ** 2
-    mask = np.arange(n)[:, None] >= np.arange(n)[None, :]
-    sq = np.where(mask, sq, -np.inf)
-    wmax = np.maximum.accumulate(sq, axis=0)
-    numer = x[:, None] - xm1[None, :]
-    den = np.sqrt(br[:, None] - brm1[None, :] + wmax, where=mask, out=np.zeros_like(sq))
-    e = np.divide(numer, den, out=np.zeros_like(sq), where=(den > 0.0) & mask)
     a, b = _shift_weights(p, s)
-    f = (p * p) * (e @ a)
-    g = (p * p) * (e @ b)
-    return f, g
-
-
-def _fg_linear(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
-    x, br = s.x, s.bracket
-    n = x.size
-    xm1 = np.concatenate(([0.0], x[:-1]))
-    brm1 = np.concatenate(([0.0], br[:-1]))
-    a, b = _shift_weights(p, s)
+    rows = max(1, CELLS // n)
     f = np.empty(n)
     g = np.empty(n)
-    for k in range(n):
-        xs = x[: k + 1]
-        smax = np.maximum.accumulate(xs[::-1])[::-1]  # max x_m over m in [l, k]
-        smin = np.minimum.accumulate(xs[::-1])[::-1]
-        c = xm1[: k + 1]
-        wmax = np.maximum(np.abs(smax - c), np.abs(c - smin)) ** 2
-        den = np.sqrt(br[k] - brm1[: k + 1] + wmax)
-        numer = x[k] - c
-        e = np.divide(numer, den, out=np.zeros_like(den), where=den > 0.0)
-        f[k] = (p * p) * float(e @ a[: k + 1])
-        g[k] = (p * p) * float(e @ b[: k + 1])
+    carry = None
+    for k0 in range(0, n, rows):
+        k1 = min(n, k0 + rows)
+        numer = x[k0:k1, None] - xm1[None, :k1]
+        mask = np.arange(k0, k1)[:, None] >= np.arange(k1)[None, :]
+        sq = np.where(mask, numer**2, -np.inf)
+        if carry is not None:
+            np.maximum(sq[0, :k0], carry, out=sq[0, :k0])
+        wmax = np.maximum.accumulate(sq, axis=0)
+        carry = wmax[-1].copy()
+        den = np.sqrt(br[k0:k1, None] - brm1[None, :k1] + wmax, where=mask, out=np.zeros_like(sq))
+        e = np.divide(numer, den, out=np.zeros_like(sq), where=(den > 0.0) & mask)
+        f[k0:k1] = e @ a[:k1]
+        g[k0:k1] = e @ b[:k1]
+    f *= p * p
+    g *= p * p
     return f, g
 
 
@@ -195,10 +195,10 @@ def certificate_p(x, p: float) -> BdgCertificate:
     if not p > 1.0:
         raise ValueError("certificate_p needs p > 1; use certificate_p1 for p = 1")
     s = _as_seq(x)
-    f, g = (_fg_dense if len(s) <= _DENSE_LIMIT else _fg_linear)(p, s)
+    f, g = _fg(p, s)
     fx = _lagged_integral(f, s.x)
     gx = _lagged_integral(g, s.x)
-    cp = 6.0**p * (p - 1.0) ** (p - 1.0)
+    cp = bdg_constant(p)
     return BdgCertificate(
         p=p,
         cp=cp,

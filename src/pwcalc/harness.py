@@ -391,12 +391,9 @@ def _exp_ttv_converge(cfg: ExperimentConfig):
             for x in ens
         ]
     )
-    values = np.stack([x.values for x in ens])
-    diffs = {}
-    for m in exps:
-        c = float(m) ** -2
-        diffs[m] = np.abs(c * truncvar._ttv_batch(values, c) - est)
-    medians = {m: _median(diffs[m]) for m in exps}
+    cs = [float(m) ** -2 for m in exps]
+    ttv = truncvar._ttv_batch(np.stack([x.values for x in ens]), cs)
+    medians = {m: _median(np.abs(c * t - est)) for m, c, t in zip(exps, cs, ttv)}
     seqm = [medians[m] for m in exps]
     decreasing = _non_increasing(seqm)
     final_ok = seqm[-1] < 0.05
@@ -523,7 +520,7 @@ def _exp_bdg_mc(cfg: ExperimentConfig):
     checks = []
     table = []
     for p in cfg.p_list:
-        cp = 6.0**p * (p - 1.0) ** (p - 1.0) if p > 1.0 else 6.0
+        cp = bdg.bdg_constant(p)
         lhs1 = xs**p
         rhs1 = cp * br ** (0.5 * p)
         m1, s1 = _mean_se(rhs1 - lhs1)

@@ -90,6 +90,9 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
     expanded.
     """
     t, v = path.times, path.values
+    # level indices are exact floats, and fit in int64, below 2^53
+    if max(float(v.max()) - r, r - float(v.min())) / d >= 2.0**53:
+        raise ValueError("path values lie 2^53 or more meshes from the grid offset")
     n = t.size - 1
     j0f = np.round((v[0] - r) / d)
     start_on_grid = bool(j0f * d + r == v[0])

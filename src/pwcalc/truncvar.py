@@ -68,11 +68,14 @@ def ttv_dp_oracle(path: SampledPath, c: float, a: float = 0.0, b: float | None =
     return float(v.max())
 
 
-def _sweep_from_values(x: np.ndarray, c: float) -> float:
+def _sweep_from_values(x: np.ndarray, c: float, running: np.ndarray | None = None) -> float:
+    """Final ttv(c) of the values; with running, the ttv of each prefix too."""
+    x = x.tolist()  # on one row, a loop over floats beats numpy about tenfold
     best = 0.0
     m_minus = -x[0]
     m_plus = x[0]
-    for xi in x[1:]:
+    for i in range(1, len(x)):
+        xi = x[i]
         vi = max(best, m_minus + xi - c, m_plus - xi - c)
         if vi > best:
             best = vi
@@ -80,6 +83,8 @@ def _sweep_from_values(x: np.ndarray, c: float) -> float:
             m_minus = vi - xi
         if vi + xi > m_plus:
             m_plus = vi + xi
+        if running is not None:
+            running[i] = best
     return best
 
 
@@ -100,37 +105,31 @@ def ttv_running(path: SampledPath, c: float) -> np.ndarray:
     """ttv(c, [0, t]) at every sample time, one pass."""
     if c < 0.0:
         raise ValueError("threshold c must be nonnegative")
-    x = path.values
-    out = np.zeros(x.size)
-    best = 0.0
-    m_minus = -x[0]
-    m_plus = x[0]
-    for i in range(1, x.size):
-        xi = x[i]
-        vi = max(best, m_minus + xi - c, m_plus - xi - c)
-        if vi > best:
-            best = vi
-        if vi - xi > m_minus:
-            m_minus = vi - xi
-        if vi + xi > m_plus:
-            m_plus = vi + xi
-        out[i] = best
+    out = np.zeros(path.values.size)
+    _sweep_from_values(path.values, c, out)
     return out
 
 
-def _ttv_batch(values: np.ndarray, c: float) -> np.ndarray:
-    """Final ttv(c) for each row of a matrix of window values."""
+def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
+    """Final ttv(c) for each row of a matrix of window values.
+
+    c is one threshold or a vector of them, giving one row of results per
+    threshold: the state is (thresholds, rows), and each column of values is
+    broadcast against it rather than copied per threshold.
+    """
     x = np.asarray(values, dtype=np.float64)
-    best = np.zeros(x.shape[0])
-    m_minus = -x[:, 0].copy()
-    m_plus = x[:, 0].copy()
+    cs = np.asarray(c, dtype=np.float64)
+    col = cs.reshape(-1, 1)
+    best = np.zeros((col.size, x.shape[0]))
+    m_minus = np.tile(-x[:, 0], (col.size, 1))
+    m_plus = np.tile(x[:, 0], (col.size, 1))
     for i in range(1, x.shape[1]):
         xi = x[:, i]
-        vi = np.maximum(best, np.maximum(m_minus + xi, m_plus - xi) - c)
+        vi = np.maximum(best, np.maximum(m_minus + xi, m_plus - xi) - col)
         np.maximum(best, vi, out=best)
         np.maximum(m_minus, vi - xi, out=m_minus)
         np.maximum(m_plus, vi + xi, out=m_plus)
-    return best
+    return best.reshape(cs.shape + x.shape[:1])
 
 
 def crossing_count(
@@ -140,19 +139,7 @@ def crossing_count(
     if c <= 0.0:
         raise ValueError("band width c must be positive")
     x = _window_values(path, a, path.horizon if b is None else b)
-    lo, hi = z - 0.5 * c, z + 0.5 * c
-    state = 1 if x[0] >= hi else (-1 if x[0] <= lo else 0)
-    count = 0
-    for v in x[1:]:
-        if v >= hi:
-            if state == -1:
-                count += 1
-            state = 1
-        elif v <= lo:
-            if state == 1:
-                count += 1
-            state = -1
-    return count
+    return int(_crossing_counts_multi(x, np.asarray([z], dtype=np.float64), c)[0])
 
 
 def _crossing_counts_multi(x: np.ndarray, centers: np.ndarray, c: float) -> np.ndarray:
@@ -163,7 +150,7 @@ def _crossing_counts_multi(x: np.ndarray, centers: np.ndarray, c: float) -> np.n
     count = np.zeros(centers.size, dtype=np.int64)
     for v in x[1:]:
         up = v >= hi
-        dn = v <= lo
+        dn = (v <= lo) & ~up  # lo == hi once c/2 rounds away: the top edge wins
         count += up & (state == -1)
         count += dn & (state == 1)
         state = np.where(up, 1, np.where(dn, -1, state))

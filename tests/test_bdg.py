@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwcalc import (
@@ -76,6 +76,13 @@ def test_cp_constant(p, cp):
     assert cert.cp == pytest.approx(cp, rel=1e-15)
 
 
+def test_bdg_constant():
+    assert bdg.bdg_constant(1.0) == 6.0
+    assert bdg.bdg_constant(2.0) == 36.0
+    with pytest.raises(ValueError):
+        bdg.bdg_constant(0.5)
+
+
 def test_certificate_p_requires_p_above_one():
     with pytest.raises(ValueError):
         certificate_p(np.asarray([0.0, 1.0]), 1.0)
@@ -106,19 +113,57 @@ def test_p_above_one_holds_on_random_walks(x, p):
 @given(x=_walks, lam=st.floats(0.01, 100))
 @settings(max_examples=40)
 def test_p1_weights_scale_invariant(x, lam):
+    # lam * x is a scaled copy of x only if no nonzero entry underflows
+    y = lam * x
+    assume(not np.any((x != 0.0) & (np.abs(y) < np.finfo(np.float64).tiny)))
     a = certificate_p1(x)
     b = certificate_p1(lam * x)
     assert np.allclose(b.h, a.h, atol=1e-9)
 
 
+def _fg_dense(p, s):
+    """The p > 1 weights from the whole K x K matrix e[k, l] at once."""
+    x, br = s.x, s.bracket
+    n = x.size
+    xm1 = np.concatenate(([0.0], x[:-1]))  # x_{l-1}
+    brm1 = np.concatenate(([0.0], br[:-1]))  # [x]_{l-1}
+    # windowed max_{l<=m<=k} (x_m - x_{l-1})^2 via a masked running max over k
+    sq = (x[:, None] - xm1[None, :]) ** 2
+    mask = np.arange(n)[:, None] >= np.arange(n)[None, :]
+    sq = np.where(mask, sq, -np.inf)
+    wmax = np.maximum.accumulate(sq, axis=0)
+    numer = x[:, None] - xm1[None, :]
+    den = np.sqrt(br[:, None] - brm1[None, :] + wmax, where=mask, out=np.zeros_like(sq))
+    e = np.divide(numer, den, out=np.zeros_like(sq), where=(den > 0.0) & mask)
+    a, b = bdg._shift_weights(p, s)
+    return (p * p) * (e @ a), (p * p) * (e @ b)
+
+
 @given(x=_walks, p=st.sampled_from([1.5, 2.0, 3.0]))
 @settings(max_examples=30, deadline=None)
 def test_dense_and_linear_constructions_agree(x, p):
+    # walks this short fit in one block of the kernel, which then does the
+    # dense oracle's arithmetic
     s = DiscreteSequence(x)
-    fd, gd = bdg._fg_dense(p, s)
-    fl, gl = bdg._fg_linear(p, s)
-    assert np.allclose(fd, fl, atol=1e-9, rtol=1e-9)
-    assert np.allclose(gd, gl, atol=1e-9, rtol=1e-9)
+    fd, gd = _fg_dense(p, s)
+    f, g = bdg._fg(p, s)
+    assert np.array_equal(f, fd) and np.array_equal(g, gd)
+
+
+@pytest.mark.parametrize("mesh,seed", [(0.04, 4), (0.022, 4)])  # K = 505, 1488
+def test_blocked_weights_match_the_dense_oracle(mesh, seed, monkeypatch):
+    x = generate(PathGeneratorConfig("wiener", step=2.0**-14, seed=seed))
+    seq = lebesgue_sequence(x, GridSpec(mesh, 0.0))
+    w = seq.values - seq.values[0]
+    assert w.size > bdg.CELLS // w.size  # more than one block
+    for p in (1.5, 2.0, 3.0):
+        cert = certificate_p(w, p)
+        with monkeypatch.context() as m:
+            m.setattr(bdg, "_fg", _fg_dense)
+            dense = certificate_p(w, p)
+        assert np.max(np.abs(cert.f - dense.f)) <= 1e-12 * np.max(np.abs(dense.f))
+        assert np.max(np.abs(cert.g - dense.g)) <= 1e-12 * np.max(np.abs(dense.g))
+        assert (cert.holds1, cert.holds2) == (dense.holds1, dense.holds2)
 
 
 @given(seed=st.integers(0, 30))

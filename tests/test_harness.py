@@ -1,5 +1,7 @@
 """Experiment harness: configs, determinism, artifacts, CLI wiring."""
 
+import importlib
+import inspect
 import json
 import os
 
@@ -229,3 +231,19 @@ def test_cli_strict_mc_promotes_statistical_failures(tmp_path, capsys):
     out_strict = capsys.readouterr().out
     assert loose == 0 and "[WARN]" in out_loose
     assert strict == 1 and "[FAIL]" in out_strict
+
+
+@pytest.mark.parametrize(
+    "module,name,params",
+    [
+        ("partitions", "_grid_hits", ("path", "d", "r")),
+        ("truncvar", "_ttv_batch", ("values",)),
+        ("bdg", "certificate_p", ("x",)),
+        ("integration", "step_approximation", ("f", "m")),
+        ("harness", "run", ("config",)),
+    ],
+)
+def test_parameter_names_the_bench_tracer_binds(module, name, params):
+    # perfbench/tracer.py reads these arguments by name from the bound call
+    fn = getattr(importlib.import_module(f"pwcalc.{module}"), name)
+    assert set(params) <= set(inspect.signature(fn).parameters)

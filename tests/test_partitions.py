@@ -161,6 +161,29 @@ def test_resource_limit_guard():
         lebesgue_sequence(ZIGZAG3, GridSpec(0.01), max_hits=10)
 
 
+@pytest.mark.parametrize(
+    "values,mesh",
+    [
+        ([1e7, 1e7 + 1e-6], 1e-12),  # 10^6 hits, but level indices past 2^53
+        ([0.0, 1e300], 1e-12),
+        ([0.0, 1e300], 1.0),
+        ([2.0**53 - 4, 2.0**53], 1.0),
+    ],
+)
+def test_level_indices_past_float_precision_are_refused(values, mesh):
+    path = SampledPath(np.asarray([0.0, 1.0]), np.asarray(values))
+    with pytest.raises(ValueError):
+        lebesgue_sequence(path, GridSpec(mesh))
+
+
+def test_level_indices_just_inside_float_precision():
+    k = 2.0**53 - 4
+    path = SampledPath(np.asarray([0.0, 3.0]), np.asarray([k, k + 3.0]))
+    seq = lebesgue_sequence(path, GridSpec(1.0))
+    assert np.array_equal(seq.times, [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(seq.values, [k, k + 1.0, k + 2.0, k + 3.0])
+
+
 def test_sequence_csv_roundtrip(tmp_path):
     seq = lebesgue_sequence(ZIGZAG3, GridSpec(0.5, 0.25))
     f = str(tmp_path / "seq.csv")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwcalc import (
@@ -91,14 +91,19 @@ def test_ttv_zero_threshold_is_total_variation(vals):
     assert ttv_sweep(p, 0.0) == pytest.approx(tv, rel=1e-12, abs=1e-12)
 
 
-@given(seeds=st.lists(st.integers(0, 100), min_size=1, max_size=5), c=st.floats(0.01, 1))
+@given(
+    seeds=st.lists(st.integers(0, 100), min_size=1, max_size=5),
+    cs=st.lists(st.floats(0.01, 1), min_size=1, max_size=4),
+)
 @settings(max_examples=20, deadline=None)
-def test_batch_matches_per_path(seeds, c):
+def test_batch_matches_per_path(seeds, cs):
     ens = [generate(PathGeneratorConfig("wiener", step=2.0**-6, seed=s)) for s in seeds]
     mat = np.stack([x.values for x in ens])
-    batch = truncvar._ttv_batch(mat, c)
-    single = [ttv_sweep(x, c) for x in ens]
-    assert np.allclose(batch, single, atol=1e-12)
+    batch = truncvar._ttv_batch(mat, cs)
+    assert batch.shape == (len(cs), len(ens))
+    for c, row in zip(cs, batch):
+        assert np.array_equal(row, truncvar._ttv_batch(mat, c))
+        assert np.allclose(row, [ttv_sweep(x, c) for x in ens], atol=1e-12)
 
 
 def test_crossing_counts_zigzag():
@@ -109,6 +114,31 @@ def test_crossing_counts_zigzag():
     assert crossing_count(touch, 0.5, 0.5) == 1
     with pytest.raises(ValueError):
         crossing_count(ZIGZAG3, 0.5, 0.0)
+
+
+def _crossing_count_loop(x, z, c):
+    lo, hi = z - 0.5 * c, z + 0.5 * c
+    state = 1 if x[0] >= hi else (-1 if x[0] <= lo else 0)
+    count = 0
+    for v in x[1:]:
+        if v >= hi:
+            count += state == -1
+            state = 1
+        elif v <= lo:
+            count += state == 1
+            state = -1
+    return count
+
+
+@given(
+    vals=st.lists(st.floats(-4, 4), min_size=1, max_size=40),
+    z=st.floats(-4, 4),
+    c=st.floats(0.05, 2),
+)
+@example(vals=[1e16 + 4, 1e16, 1e16 - 4], z=1e16, c=1.0)  # band edges round together
+@settings(max_examples=60)
+def test_crossing_count_matches_the_scalar_loop(vals, z, c):
+    assert crossing_count(_walk(vals), z, c) == _crossing_count_loop(np.asarray(vals), z, c)
 
 
 def test_crossing_profile_integrates_to_ttv():

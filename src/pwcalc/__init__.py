@@ -8,7 +8,7 @@ claims statistically.
 """
 
 from .bdg import BdgCertificate, DiscreteSequence, certificate_p, certificate_p1, certify_path
-from .harness import ExperimentConfig, Report, compare_qv_estimators, default_config, run
+from .harness import ExperimentConfig, Report, default_config, run
 from .integration import (
     ConsistencyError,
     SimpleStrategy,
@@ -91,7 +91,6 @@ __all__ = [
     "certificate_p",
     "certificate_p1",
     "certify_path",
-    "compare_qv_estimators",
     "crossing_count",
     "crossing_profile",
     "default_config",

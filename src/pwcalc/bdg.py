@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import StoppingSequence
-from .paths import SampledPath
-
-_REL_TOL = 1e-9
+from .paths import REL_TOL, SampledPath
 
 # cells per block of the p > 1 weight kernel: its temporaries stay near 1 MB
 # whatever the sequence length
@@ -84,11 +82,11 @@ class BdgCertificate:
 
     @property
     def holds1(self) -> bool:
-        return bool(np.all(self.lhs1 <= self.rhs1 + _REL_TOL * (1.0 + np.abs(self.rhs1))))
+        return bool(np.all(self.lhs1 <= self.rhs1 + REL_TOL * (1.0 + np.abs(self.rhs1))))
 
     @property
     def holds2(self) -> bool:
-        return bool(np.all(self.lhs2 <= self.rhs2 + _REL_TOL * (1.0 + np.abs(self.rhs2))))
+        return bool(np.all(self.lhs2 <= self.rhs2 + REL_TOL * (1.0 + np.abs(self.rhs2))))
 
     @property
     def holds(self) -> bool:
@@ -215,17 +213,11 @@ def certificate_p(x, p: float) -> BdgCertificate:
     )
 
 
-def certify_path(
-    path: SampledPath,
-    seq: StoppingSequence,
-    p: float = 1.0,
-    shift_to_zero: bool = True,
-) -> BdgCertificate:
+def certify_path(path: SampledPath, seq: StoppingSequence, p: float = 1.0) -> BdgCertificate:
     """Certificate for the path sampled at its stop times.
 
-    With shift_to_zero the sampled sequence is X(tau_n) - X_0, which makes
-    the bracket the simple quadratic variation along the sequence.
+    The sampled sequence is X(tau_n) - X_0, which makes the bracket the
+    simple quadratic variation along the sequence.
     """
-    w = seq.values - (seq.values[0] if shift_to_zero else 0.0)
-    s = DiscreteSequence(w)
+    s = DiscreteSequence(seq.values - seq.values[0])
     return certificate_p1(s) if p == 1.0 else certificate_p(s, p)

@@ -44,8 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json_dict(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                cfg = ExperimentConfig.from_json_dict(json.load(fh))
+        except ValueError as exc:  # malformed JSON too
+            raise SystemExit(f"{args.config}: {exc}") from None
         if cfg.experiment != args.experiment:
             raise SystemExit(
                 f"config is for {cfg.experiment!r}, command line says {args.experiment!r}"

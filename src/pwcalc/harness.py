@@ -26,7 +26,14 @@ import numpy as np
 
 from . import bdg, integration, partitions, paths, quadvar, truncvar
 from .partitions import GridSpec, StoppingSequence, lebesgue_sequence
-from .paths import PathGeneratorConfig, SampledPath, generate, hitting_time_abs
+from .paths import (
+    REL_TOL,
+    PathGeneratorConfig,
+    SampledPath,
+    _check_json_keys,
+    generate,
+    hitting_time_abs,
+)
 from .quadvar import qv_at, simple_qv, sup_distance
 
 SCHEMA_VERSION = 1
@@ -42,8 +49,6 @@ EXPERIMENTS = (
     "distance-rates",
 )
 
-_REL_TOL = 1e-9
-
 
 def thread_count() -> int:
     raw = os.environ.get("PWCALC_THREADS", "")
@@ -54,12 +59,24 @@ def thread_count() -> int:
     return max(1, n)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def parallel_map(fn, items):
     """Map over ensemble members; results keyed by index, so any schedule
-    yields the same list."""
+    yields the same list.
+
+    The pool has at most one worker per item and per CPU the process may
+    run on, whatever PWCALC_THREADS asks for: each worker keeps its own
+    scratch rows.
+    """
     items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
+    n = min(thread_count(), len(items), _usable_cpus())
+    if n <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
@@ -126,6 +143,7 @@ class ExperimentConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version}")
+        _check_json_keys(ExperimentConfig, d, "config")
         d["generator"] = PathGeneratorConfig.from_json_dict(d["generator"])
         d["c_exponents"] = tuple(d.get("c_exponents", ()))
         d["p_list"] = tuple(d.get("p_list", (1.0, 1.5, 2.0, 3.0)))
@@ -207,12 +225,13 @@ class Report:
         )
 
 
-def _member_paths(cfg: ExperimentConfig, count: int | None = None, offset: int = 0):
-    n = cfg.ensemble_size if count is None else count
-    gens = [
-        dataclasses.replace(cfg.generator, seed=cfg.seed + offset + i) for i in range(n)
-    ]
-    return parallel_map(generate, gens)
+def _member(cfg: ExperimentConfig, i: int) -> SampledPath:
+    """Ensemble member i: the generator at seed cfg.seed + i."""
+    return generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+
+
+def _member_paths(cfg: ExperimentConfig):
+    return parallel_map(lambda i: _member(cfg, i), range(cfg.ensemble_size))
 
 
 def _median(values) -> float:
@@ -274,7 +293,7 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
     worst_gap = 0.0
 
     def one(i):
-        x = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+        x = _member(cfg, i)
         rng = np.random.default_rng(cfg.seed + 900_000 + i)
         spread = float(np.max(x.values) - np.min(x.values))
         mesh = max(spread, 1e-6) * float(rng.uniform(0.08, 0.4))
@@ -307,8 +326,8 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
         Check(
             "witness-identities-exact",
             "pathwise",
-            worst_gap <= 1e-9,
-            {"worst_gap": worst_gap, "tolerance": 1e-9},
+            worst_gap <= REL_TOL,
+            {"worst_gap": worst_gap, "tolerance": REL_TOL},
         ),
     ]
     return checks, {"certificates": rows}
@@ -331,7 +350,7 @@ def _exp_qv_converge(cfg: ExperimentConfig):
     terminal = []
 
     def one(i):
-        x = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+        x = _member(cfg, i)
         curves = [simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-m, 0.0))) for m in ms]
         gaps = [sup_distance(curves[j], curves[j + 1]) for j in range(len(ms) - 1)]
         top = curves[-2] if len(ms) > 1 else curves[-1]
@@ -425,7 +444,7 @@ def _exp_sandwich(cfg: ExperimentConfig):
     failures = 0
 
     def one(i):
-        x = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+        x = _member(cfg, i)
         return str(i), [truncvar.sandwich_check(x, m, cfg.threshold) for m in ms]
 
     results = parallel_map(one, range(cfg.ensemble_size))
@@ -460,14 +479,15 @@ def _exp_sandwich(cfg: ExperimentConfig):
 def _exp_isometry_mc(cfg: ExperimentConfig):
     m = cfg.m_hi
     grid = GridSpec(2.0**-m, 0.0)
-    gen = cfg.generator
-    if gen.kind == "wiener":
+    resolved = cfg
+    if cfg.generator.kind == "wiener":
         # E[X_T^2] = E[QV_T] needs a martingale between samples: resolve each
         # member's Brownian bridges on the grid the check uses
-        gen = dataclasses.replace(gen, bridge_grid=(grid.mesh, grid.offset))
+        gen = dataclasses.replace(cfg.generator, bridge_grid=(grid.mesh, grid.offset))
+        resolved = dataclasses.replace(cfg, generator=gen)
 
     def one(i):
-        x = generate(dataclasses.replace(gen, seed=cfg.seed + i))
+        x = _member(resolved, i)
         seq = lebesgue_sequence(x, grid)
         qv = float(qv_at(x, seq, np.asarray([x.horizon]))[0])
         disp = float((x.values[-1] - x.values[0]) ** 2)
@@ -508,7 +528,7 @@ def _exp_bdg_mc(cfg: ExperimentConfig):
     mesh = 0.05
 
     def one(i):
-        x = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+        x = _member(cfg, i)
         seq = lebesgue_sequence(x, GridSpec(mesh, 0.0))
         w = seq.values - seq.values[0]
         s = bdg.DiscreteSequence(np.append(w, x.values[-1] - seq.values[0]))
@@ -548,8 +568,8 @@ def _exp_integral_converge(cfg: ExperimentConfig):
     cauchy_rows = []
 
     def one(i):
-        x = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
-        y = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + 1_000_000_000 + i))
+        x = _member(cfg, i)
+        y = _member(cfg, 1_000_000_000 + i)
         g = integration.step_approximation(x, cfg.integrand_level)
         h = integration.step_approximation(y, cfg.integrand_level)
         gx = integration.capital_process(
@@ -599,7 +619,7 @@ def _exp_integral_converge(cfg: ExperimentConfig):
         ),
     ]
     # localization consistency is pathwise: any disagreement raises
-    x0 = generate(dataclasses.replace(cfg.generator, seed=cfg.seed))
+    x0 = _member(cfg, 0)
     try:
         integration.localized_integral(x0, x0, [1.0, 2.0, 4.0], cfg.integrand_level + 2)
         checks.append(Check("localization-consistent", "pathwise", True, {}))
@@ -712,7 +732,7 @@ def _oracle_checks(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed + 777)
     worst_rel = 0.0
     for i in range(5):
-        x = generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+        x = _member(cfg, i)
         short = SampledPath(x.times[:201] if len(x) > 201 else x.times,
                             x.values[:201] if len(x) > 201 else x.values)
         c = float(rng.uniform(0.05, 0.5)) * max(
@@ -727,57 +747,10 @@ def _oracle_checks(cfg: ExperimentConfig) -> list:
         Check(
             "oracle-ttv-crosscheck",
             "pathwise",
-            worst_rel <= _REL_TOL,
+            worst_rel <= REL_TOL,
             {"worst_relative_gap": worst_rel},
         )
     ]
-
-
-def compare_qv_estimators(config: ExperimentConfig) -> Report:
-    """Pairwise sup-distances of dyadic, averaged-shifted, and ttv qv curves."""
-    if config.generator.kind not in ("wiener", "zigzag", "constant"):
-        raise ValueError("comparison expects a wiener, zigzag, or constant generator")
-    # even levels only, so the averaged-shifted mesh (2^{j/2})^-2 matches exactly
-    levels = [j for j in range(max(2, config.m_lo), config.m_hi + 1) if j % 2 == 0]
-    gaps = {("dyadic", "avg"): {}, ("dyadic", "ttv"): {}, ("avg", "ttv"): {}}
-
-    def one(i):
-        x = generate(dataclasses.replace(config.generator, seed=config.seed + i))
-        out = {}
-        for j in levels:
-            dy = simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-j, 0.0)))
-            av = truncvar.averaged_shifted_qv(x, 2 ** (j // 2))
-            tt = truncvar.qv_from_ttv(x, [2.0**-j])[0]
-            out[j] = {
-                ("dyadic", "avg"): sup_distance(dy, av),
-                ("dyadic", "ttv"): sup_distance(dy, tt),
-                ("avg", "ttv"): sup_distance(av, tt),
-            }
-        return out
-
-    results = parallel_map(one, range(config.ensemble_size))
-    rows = []
-    checks = []
-    for pair in gaps:
-        meds = []
-        for j in levels:
-            med = _median([r[j][pair] for r in results])
-            gaps[pair][j] = med
-            meds.append(med)
-            rows.append({"pair": "-vs-".join(pair), "level": j, "median_sup_distance": med})
-        decreasing = _non_increasing(meds)
-        checks.append(
-            Check(
-                f"estimators-approach:{pair[0]}-vs-{pair[1]}",
-                "statistical",
-                bool(decreasing),
-                {"medians": [float(v) for v in meds]},
-            )
-        )
-    report = Report("compare-qv", config, checks, {"comparison": rows})
-    if config.output_dir:
-        _write_artifacts(report, config.output_dir, 0.0)
-    return report
 
 
 # --------------------------------------------------------------------------

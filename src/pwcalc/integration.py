@@ -26,25 +26,24 @@ Standard errors come from the per-path aggregate contributions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bdg import BdgCertificate, certify_path
+from .bdg import certify_path
 from .partitions import StoppingSequence, _grid_hits
 from .paths import (
     INFINITE_TIME,
+    REL_TOL,
     SampledPath,
     _interp,
     divergence_time,
     evaluate_many,
     hitting_time_abs,
 )
-from .quadvar import QvCurve, qv_at, qv_estimate_dyadic
+from .quadvar import qv_at, qv_estimate_dyadic, simple_qv, sup_distance
 
-_REL_TOL = 1e-9
 _MAX_VARIATION = 1e12
 
 
@@ -156,9 +155,7 @@ def bdg_witness_strategy(
     given; rho is the first time the simple qv along seq and the proxy
     diverge by eps, and positions are zeroed from min(sigma, rho) on.
     """
-    from .quadvar import simple_qv
-
-    cert = certify_path(x, seq, p, shift_to_zero=True)
+    cert = certify_path(x, seq, p)
     weights = cert.h if p == 1.0 else cert.g
     cutoff = hitting_time_abs(x, threshold)
     if math.isfinite(eps):
@@ -206,8 +203,6 @@ class ModelFreeResult:
 
 def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFreeResult:
     """Curves (F^m . X) for m = 0..m_max plus consecutive sup-distances."""
-    from .quadvar import sup_distance
-
     if f.horizon != x.horizon:
         raise ValueError("integrand and integrator horizons differ")
     if m_max < 0:
@@ -258,14 +253,6 @@ def stieltjes_integral(g, v: SampledPath, t: float | None = None) -> float:
     return float(np.sum(gv * dv))
 
 
-def product_integral_curve(g, h, v: SampledPath) -> SampledPath:
-    """Curve t -> int_0^t g h dv by the same left-point rule, all stamps."""
-    mesh = np.union1d(np.union1d(v.times, _integrand_times(g)), _integrand_times(h))
-    gv = _integrand_values_at(g, mesh[:-1]) * _integrand_values_at(h, mesh[:-1])
-    dv = np.diff(evaluate_many(v, mesh))
-    return SampledPath(mesh, np.concatenate(([0.0], np.cumsum(gv * dv))))
-
-
 def _stopped_path(f: SampledPath, sigma: float) -> SampledPath:
     if sigma >= f.horizon:
         return f
@@ -305,7 +292,7 @@ def localized_integral(
         gap = _sup_gap_upto(curves[i], curves[i + 1], sigmas[i])
         gaps.append(gap)
         scale = 1.0 + float(np.max(np.abs(curves[i].values)))
-        if gap > _REL_TOL * scale:
+        if gap > REL_TOL * scale:
             raise ConsistencyError(
                 f"localized integrals at N={levels[i]} and N={levels[i + 1]} "
                 f"differ by {gap:.3g} on the common window"
@@ -432,24 +419,3 @@ def empirical_dinf(y, z, x_paths, n_levels: int = 8) -> EmpiricalDistanceReport:
             contrib += 2.0**-n * sup
         per_path[i] = contrib
     return _mean_report(per_path, per_level, n_levels)
-
-
-def write_strategy_json(strategy: SimpleStrategy, filename: str) -> None:
-    """JSON object with fields c, taus, gs."""
-    doc = {
-        "c": strategy.initial_capital,
-        "taus": [float(t) for t in strategy.seq.times],
-        "gs": [float(v) for v in strategy.positions],
-    }
-    with open(filename, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_strategy_json(filename: str, path: SampledPath) -> SimpleStrategy:
-    """Rebuild a strategy against a path; stop values re-evaluated on it."""
-    with open(filename) as fh:
-        doc = json.load(fh)
-    times = np.asarray(doc["taus"], dtype=np.float64)
-    seq = StoppingSequence(times, evaluate_many(path, times), path.horizon)
-    return SimpleStrategy(float(doc["c"]), seq, np.asarray(doc["gs"], dtype=np.float64))

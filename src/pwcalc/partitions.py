@@ -14,7 +14,6 @@ the current level are dropped. A hit exactly on a level counts as reaching it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,22 +267,3 @@ def truncate_sequence(seq: StoppingSequence, t: float, path: SampledPath) -> Sto
     times = np.append(seq.times[keep], t)
     values = np.append(seq.values[keep], evaluate_many(path, np.asarray([t]))[0])
     return StoppingSequence(times, values, seq.horizon, label=seq.label)
-
-
-def write_sequence_csv(seq: StoppingSequence, filename: str) -> None:
-    """CSV with header n,tau,value; 17 significant digits."""
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "tau", "value"])
-        for n, (t, x) in enumerate(zip(seq.times, seq.values)):
-            w.writerow([n, f"{t:.17g}", f"{x:.17g}"])
-
-
-def read_sequence_csv(filename: str, horizon: float | None = None) -> StoppingSequence:
-    with open(filename, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["n", "tau", "value"]:
-        raise ValueError("expected header n,tau,value")
-    data = np.asarray([[float(r[1]), float(r[2])] for r in rows[1:]])
-    h = float(data[-1, 0]) if horizon is None else horizon
-    return StoppingSequence(data[:, 0], data[:, 1], h)

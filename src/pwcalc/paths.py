@@ -12,15 +12,17 @@ which compares above every finite time.
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 INFINITE_TIME = math.inf
+
+# relative tolerance of the exact pathwise checks in every module
+REL_TOL = 1e-9
 
 GENERATOR_KINDS = ("wiener", "geometric", "zigzag", "constant", "sine", "custom-seeded")
 
@@ -216,7 +218,28 @@ class PathGeneratorConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PathGeneratorConfig":
+        _check_json_keys(PathGeneratorConfig, d, "generator")
         return PathGeneratorConfig(**d)
+
+
+def _check_json_keys(cls, d, what: str) -> None:
+    """ValueError naming the keys a JSON object lacks or has beyond the
+    fields of the dataclass cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    missing = sorted(
+        f.name for f in fields
+        if f.name not in d
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    )
+    unknown = sorted(d.keys() - {f.name for f in fields})
+    problems = [
+        f"{kind} keys {keys}" for kind, keys in (("missing", missing), ("unknown", unknown)) if keys
+    ]
+    if problems:
+        raise ValueError(f"{what}: {'; '.join(problems)}")
 
 
 def generate(config: PathGeneratorConfig) -> SampledPath:
@@ -535,32 +558,3 @@ def _level_values(lev: np.ndarray, up: np.ndarray, mesh: float, offset: float) -
         if short.size == 0:
             return x
         x[short] = np.nextafter(x[short], side[short] * np.inf)
-
-
-def write_path_csv(path: SampledPath, filename: str) -> None:
-    """CSV with header t,x; 17 significant digits so floats round-trip."""
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x"])
-        for t, x in zip(path.times, path.values):
-            w.writerow([f"{t:.17g}", f"{x:.17g}"])
-
-
-def read_path_csv(filename: str) -> SampledPath:
-    with open(filename, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["t", "x"]:
-        raise ValueError("expected header t,x")
-    data = np.asarray([[float(r[0]), float(r[1])] for r in rows[1:]])
-    return SampledPath(data[:, 0], data[:, 1])
-
-
-def write_generator_json(config: PathGeneratorConfig, filename: str) -> None:
-    with open(filename, "w") as fh:
-        json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_generator_json(filename: str) -> PathGeneratorConfig:
-    with open(filename) as fh:
-        return PathGeneratorConfig.from_json_dict(json.load(fh))

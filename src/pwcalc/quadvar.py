@@ -6,8 +6,7 @@ For a stopping sequence tau and path X, the simple quadratic variation at t is
 
 where the finite stop list is conceptually followed by +inf stops, so the sum
 always ends with the partial increment (X(t) - X(tau_last))^2. Covariation is
-the analogous product sum; the polarization identity gives it back from plain
-quadratic variations of the sum and difference paths.
+the analogous product sum.
 
 Curves are emitted as sampled paths on the union of path sample times and
 stop times; between stamps a curve is interpreted linearly (the exact curve
@@ -20,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import (
-    GridSpec,
-    StoppingSequence,
-    lebesgue_sequence,
-)
-from .paths import SampledPath, evaluate_many
+from .partitions import GridSpec, StoppingSequence, lebesgue_sequence, merge, verify_fine_cover
+from .paths import REL_TOL, SampledPath, evaluate_many
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,8 @@ class CheckReport:
     holds: bool
 
 
-def _ineq_holds(lhs: float, rhs: float, rel: float = 1e-9) -> bool:
-    return lhs <= rhs + rel * (1.0 + abs(rhs))
+def _ineq_holds(lhs: float, rhs: float) -> bool:
+    return lhs <= rhs + REL_TOL * (1.0 + abs(rhs))
 
 
 def qv_at(path: SampledPath, seq: StoppingSequence, ts: np.ndarray) -> np.ndarray:
@@ -124,36 +119,6 @@ def simple_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> QvCurv
     return QvCurve(stamps, qcov_at(x, y, seq, stamps), seq_id=seq.label)
 
 
-def polarization_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> QvCurve:
-    """Covariation via (qv(x+y) - qv(x-y)) / 4; equals simple_qcov exactly."""
-    if x.horizon != y.horizon:
-        raise ValueError("paths must share a horizon")
-    stamps = np.union1d(x.times, y.times)
-    xv = evaluate_many(x, stamps)
-    yv = evaluate_many(y, stamps)
-    s = SampledPath(stamps, xv + yv)
-    d = SampledPath(stamps, xv - yv)
-    out = np.union1d(stamps, seq.times)
-    vals = 0.25 * (qv_at(s, _reseat(seq, s), out) - qv_at(d, _reseat(seq, d), out))
-    return QvCurve(out, vals, seq_id=seq.label)
-
-
-def _reseat(seq: StoppingSequence, path: SampledPath) -> StoppingSequence:
-    """Same stop times with values realized on another path."""
-    return StoppingSequence(
-        seq.times, evaluate_many(path, seq.times), path.horizon, label=seq.label
-    )
-
-
-def sup_along(seq: StoppingSequence, path: SampledPath, t: float) -> float:
-    """max_n |X(tau_n ^ t)| including the trailing value |X(t)|."""
-    if t < 0.0 or t > path.horizon:
-        raise ValueError("time out of path domain")
-    w = np.abs(seq.values[seq.times <= t])
-    xt = abs(evaluate_many(path, np.asarray([t]))[0])
-    return float(max(w.max() if w.size else 0.0, xt))
-
-
 def merge_error_bound_check(
     x: SampledPath,
     sigma: StoppingSequence,
@@ -166,15 +131,13 @@ def merge_error_bound_check(
     the path over every sigma interval, final interval to the horizon
     included, at most delta); raises otherwise.
     """
-    from .partitions import merge as merge_seqs, verify_fine_cover
-
     cover = verify_fine_cover(x, sigma, delta)
     if not cover.holds:
         raise ValueError(
             f"sigma does not cover the path at accuracy {delta:.17g} "
             f"(worst oscillation {cover.worst_oscillation:.17g})"
         )
-    ups = merge_seqs(sigma, tau, x)
+    ups = merge(sigma, tau, x)
     h = x.horizon
     pts = np.append(ups.times, h)
     d_vals = qv_at(x, sigma, pts) - qv_at(x, ups, pts)
@@ -206,14 +169,3 @@ def sup_distance(a: SampledPath, b: SampledPath) -> float:
     gap = evaluate_many(a, b.times)
     gap -= b.values
     return max(worst, float(np.max(np.abs(gap, out=gap))))
-
-
-def write_curve_csv(curve: SampledPath, filename: str) -> None:
-    """CSV with header t,qv; 17 significant digits."""
-    import csv
-
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "qv"])
-        for t, q in zip(curve.times, curve.values):
-            w.writerow([f"{t:.17g}", f"{q:.17g}"])

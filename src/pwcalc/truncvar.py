@@ -31,19 +31,12 @@ side above ttv by order mesh^2. m >= 3 is required for the lower side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import (
-    GridSpec,
-    StoppingSequence,
-    _grid_hits,
-    shifted_lebesgue_family,
-    truncate_sequence,
-)
-from .paths import INFINITE_TIME, SampledPath, evaluate_many, hitting_time_abs
+from .partitions import GridSpec, _grid_hits, shifted_lebesgue_family, truncate_sequence
+from .paths import REL_TOL, SampledPath, evaluate_many, hitting_time_abs
 from .quadvar import QvCurve, simple_qv
 
 
@@ -249,7 +242,7 @@ def sandwich_check(
     middle = ttv_sweep(path, c, 0.0, t_eff)
     lower = (m - 1) * _shifted_transition_sum(path, m - 1, t_eff)
     upper = (m + 1) * _shifted_transition_sum(path, m + 1, t_eff)
-    tol = 1e-9 * (1.0 + abs(middle))
+    tol = REL_TOL * (1.0 + abs(middle))
     return SandwichReport(
         m=m,
         threshold=big,
@@ -295,14 +288,3 @@ def qv_from_ttv(path: SampledPath, c_schedule) -> list[QvCurve]:
         vals = float(c) * ttv_running(path, float(c))
         out.append(QvCurve(path.times, vals, seq_id=f"ttv:c={float(c):.17g}"))
     return out
-
-
-def write_profile_csv(profile: CrossingProfile, filename: str) -> None:
-    """CSV with header z_lo,z_hi,count."""
-    import csv
-
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z_lo", "z_hi", "count"])
-        for zl, zh, n in zip(profile.z_lo, profile.z_hi, profile.counts):
-            w.writerow([f"{zl:.17g}", f"{zh:.17g}", int(n)])

@@ -177,12 +177,3 @@ def test_certify_path_uses_shifted_stop_values(seed):
     assert np.allclose(s.bracket, qv_at(x, seq, seq.times), atol=1e-12)
     direct = certificate_p1(seq.values - seq.values[0])
     assert np.array_equal(cert.h, direct.h)
-
-
-def test_certify_path_without_shift():
-    x = generate(PathGeneratorConfig("geometric", step=2.0**-6, seed=2))
-    seq = lebesgue_sequence(x, GridSpec(0.1, 0.0))
-    raw = certify_path(x, seq, 2.0, shift_to_zero=False)
-    direct = certificate_p(seq.values, 2.0)
-    assert np.array_equal(raw.g, direct.g)
-    assert raw.holds

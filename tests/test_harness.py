@@ -5,11 +5,10 @@ import inspect
 import json
 import os
 
-import numpy as np
 import pytest
 
-from pwcalc import ExperimentConfig, PathGeneratorConfig, compare_qv_estimators, default_config, run
-from pwcalc import cli
+from pwcalc import ExperimentConfig, PathGeneratorConfig, default_config, run
+from pwcalc import cli, harness
 from pwcalc.harness import (
     EXPERIMENTS,
     _non_increasing,
@@ -73,6 +72,34 @@ def test_parallel_map_is_ordered(monkeypatch):
     assert out == [i * i for i in range(20)]
     monkeypatch.setenv("PWCALC_THREADS", "junk")
     assert thread_count() == 1
+
+
+def test_parallel_map_pool_is_bounded_by_cpus_and_items(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and starts no thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setenv("PWCALC_THREADS", "100000")
+    cpus = harness._usable_cpus()
+    for n in (2, 50):
+        pools.clear()
+        assert parallel_map(lambda i: -i, range(n)) == [-i for i in range(n)]
+        workers = min(n, cpus)
+        assert pools == ([workers] if workers > 1 else [])
 
 
 def test_non_increasing_slack():
@@ -153,41 +180,6 @@ def test_artifacts_byte_identical(tmp_path):
     assert doc["experiment"] == "sandwich"
 
 
-def test_compare_constant_paths_all_zero():
-    cfg = ExperimentConfig(
-        "qv-converge",
-        PathGeneratorConfig("constant", step=2.0**-6),
-        ensemble_size=2,
-        m_lo=2,
-        m_hi=6,
-    )
-    rep = compare_qv_estimators(cfg)
-    assert rep.experiment == "compare-qv"
-    assert all(row["median_sup_distance"] == 0.0 for row in rep.tables["comparison"])
-    assert all(c.passed for c in rep.checks)
-
-
-def test_compare_line_estimates_shrink():
-    cfg = ExperimentConfig(
-        "qv-converge",
-        PathGeneratorConfig("wiener", step=2.0**-6, volatility=0.0, drift=1.0),
-        ensemble_size=2,
-        m_lo=2,
-        m_hi=8,
-    )
-    rep = compare_qv_estimators(cfg)
-    for c in rep.checks:
-        assert c.passed, c.name
-
-
-def test_compare_rejects_unsupported_generator():
-    cfg = ExperimentConfig(
-        "qv-converge", PathGeneratorConfig("geometric", step=2.0**-6), ensemble_size=2
-    )
-    with pytest.raises(ValueError):
-        compare_qv_estimators(cfg)
-
-
 def test_cli_runs_and_writes_report(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(_tiny("sandwich", ensemble_size=2, m_lo=3, m_hi=4).to_json_dict()))
@@ -205,6 +197,34 @@ def test_cli_rejects_experiment_mismatch(tmp_path):
     cfgfile.write_text(json.dumps(_tiny("sandwich").to_json_dict()))
     with pytest.raises(SystemExit):
         cli.main(["qv-converge", "--config", str(cfgfile)])
+
+
+def test_config_missing_key_is_named(tmp_path):
+    with pytest.raises(ValueError, match=r"missing keys \['generator'\]"):
+        ExperimentConfig.from_json_dict({"experiment": "sandwich"})
+    doc = _tiny("sandwich").to_json_dict()
+    del doc["generator"]["kind"]
+    with pytest.raises(ValueError, match=r"generator: missing keys \['kind'\]"):
+        ExperimentConfig.from_json_dict(doc)
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"experiment": "sandwich"}))
+    with pytest.raises(SystemExit, match=r"missing keys \['generator'\]"):
+        cli.main(["sandwich", "--config", str(f)])
+
+
+def test_config_unknown_key_is_named(tmp_path):
+    doc = _tiny("sandwich").to_json_dict()
+    doc["bogus"] = 1
+    with pytest.raises(ValueError, match=r"unknown keys \['bogus'\]"):
+        ExperimentConfig.from_json_dict(doc)
+    del doc["bogus"]
+    doc["generator"]["extra"] = 2
+    with pytest.raises(ValueError, match=r"generator: unknown keys \['extra'\]"):
+        ExperimentConfig.from_json_dict(doc)
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=r"unknown keys \['extra'\]"):
+        cli.main(["sandwich", "--config", str(f)])
 
 
 def test_cli_seed_override():

@@ -32,12 +32,7 @@ from pwcalc import (
     witness_identity_gap,
     witness_strategy_qv,
 )
-from pwcalc.integration import (
-    product_integral_curve,
-    read_strategy_json,
-    step_values_at,
-    write_strategy_json,
-)
+from pwcalc.integration import step_values_at
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -198,13 +193,6 @@ def test_stieltjes_variation_guard():
         stieltjes_integral(g, v)
 
 
-def test_product_integral_curve_of_ones_recovers_integrator():
-    v = SampledPath(np.asarray([0.0, 0.5, 1.0]), np.asarray([0.0, 0.25, 0.5]))
-    ones = SampledPath(np.asarray([0.0, 1.0]), np.ones(2))
-    curve = product_integral_curve(ones, ones, v)
-    assert np.allclose(evaluate_many(curve, v.times), v.values, atol=1e-15)
-
-
 def test_localized_integral_consistency():
     res = localized_integral(LINE01, LINE01, [0.25, 0.5, 2.0], 3)
     assert list(res.sigmas) == pytest.approx([0.25, 0.5, 1.0], abs=1e-15)
@@ -249,15 +237,3 @@ def test_empirical_distances_vanish_on_equal_arguments():
     assert empirical_dqv(fm, fm, paths).value == 0.0
     with pytest.raises(ValueError):
         empirical_dqv(fm, fm, [])
-
-
-def test_strategy_json_roundtrip(tmp_path):
-    seq = lebesgue_sequence(ZIGZAG3, GridSpec(0.4, 0.0))
-    strat = SimpleStrategy(1.25, seq, np.linspace(-1, 1, len(seq)))
-    f = str(tmp_path / "strategy.json")
-    write_strategy_json(strat, f)
-    back = read_strategy_json(f, ZIGZAG3)
-    assert back.initial_capital == 1.25
-    assert np.array_equal(back.seq.times, strat.seq.times)
-    assert np.array_equal(back.positions, strat.positions)
-    assert np.allclose(back.seq.values, evaluate_many(ZIGZAG3, seq.times), atol=1e-12)

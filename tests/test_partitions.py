@@ -19,7 +19,6 @@ from pwcalc import (
     truncate_sequence,
     verify_fine_cover,
 )
-from pwcalc.partitions import read_sequence_csv, write_sequence_csv
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 
@@ -182,15 +181,3 @@ def test_level_indices_just_inside_float_precision():
     seq = lebesgue_sequence(path, GridSpec(1.0))
     assert np.array_equal(seq.times, [0.0, 1.0, 2.0, 3.0])
     assert np.array_equal(seq.values, [k, k + 1.0, k + 2.0, k + 3.0])
-
-
-def test_sequence_csv_roundtrip(tmp_path):
-    seq = lebesgue_sequence(ZIGZAG3, GridSpec(0.5, 0.25))
-    f = str(tmp_path / "seq.csv")
-    write_sequence_csv(seq, f)
-    back = read_sequence_csv(f, horizon=3.0)
-    assert np.array_equal(back.times, seq.times)
-    assert np.array_equal(back.values, seq.values)
-    assert back.horizon == 3.0
-    default_h = read_sequence_csv(f)
-    assert default_h.horizon == seq.times[-1]

@@ -1,4 +1,4 @@
-"""Paths: construction, interpolation, exact hitting solves, generators, IO."""
+"""Paths: construction, interpolation, exact hitting solves, generators."""
 
 import math
 
@@ -23,13 +23,7 @@ from pwcalc import (
     qv_at,
     run,
 )
-from pwcalc.paths import (
-    _level_values,
-    read_generator_json,
-    read_path_csv,
-    write_generator_json,
-    write_path_csv,
-)
+from pwcalc.paths import _level_values
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 
@@ -158,31 +152,6 @@ def test_generator_validation():
         PathGeneratorConfig("wiener", horizon=0.0)
     with pytest.raises(ValueError):
         PathGeneratorConfig("wiener", step=2.0)
-
-
-def test_path_csv_roundtrip(tmp_path):
-    x = generate(PathGeneratorConfig("wiener", step=2.0**-6, seed=5))
-    f = str(tmp_path / "path.csv")
-    write_path_csv(x, f)
-    back = read_path_csv(f)
-    assert np.array_equal(back.times, x.times)
-    assert np.array_equal(back.values, x.values)
-
-
-def test_path_csv_rejects_wrong_header(tmp_path):
-    f = tmp_path / "junk.csv"
-    f.write_text("a,b\n0,0\n")
-    with pytest.raises(ValueError):
-        read_path_csv(str(f))
-
-
-def test_generator_json_roundtrip(tmp_path):
-    cfg = PathGeneratorConfig(
-        "geometric", horizon=2.0, step=0.125, seed=11, volatility=0.3, drift=-0.1
-    )
-    f = str(tmp_path / "gen.json")
-    write_generator_json(cfg, f)
-    assert read_generator_json(f) == cfg
 
 
 # ------------------------------------------------ Brownian-bridge resolution

@@ -9,7 +9,9 @@ from pwcalc import (
     GridSpec,
     PathGeneratorConfig,
     SampledPath,
+    StoppingSequence,
     evaluate,
+    evaluate_many,
     generate,
     lebesgue_sequence,
     merge_error_bound_check,
@@ -19,7 +21,7 @@ from pwcalc import (
     simple_qv,
     sup_distance,
 )
-from pwcalc.quadvar import polarization_qcov, qcov_at, sup_along, write_curve_csv
+from pwcalc.quadvar import qcov_at
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -28,6 +30,21 @@ UNIT = lebesgue_sequence(ZIGZAG3, GridSpec(1.0, 0.0))
 
 def _wiener(seed, step=2.0**-8):
     return generate(PathGeneratorConfig("wiener", step=step, seed=seed))
+
+
+def polarization_qcov(x, y, seq):
+    """Covariation via (qv(x+y) - qv(x-y)) / 4, the reference for simple_qcov."""
+    stamps = np.union1d(x.times, y.times)
+    xv = evaluate_many(x, stamps)
+    yv = evaluate_many(y, stamps)
+    out = np.union1d(stamps, seq.times)
+    qvs = []
+    for vals in (xv + yv, xv - yv):
+        path = SampledPath(stamps, vals)
+        # the same stop times, with values realized on the sum or difference path
+        reseated = StoppingSequence(seq.times, evaluate_many(path, seq.times), path.horizon)
+        qvs.append(qv_at(path, reseated, out))
+    return SampledPath(out, 0.25 * (qvs[0] - qvs[1]))
 
 
 def test_qv_unit_grid_zigzag():
@@ -87,12 +104,6 @@ def test_polarization_identity(seed, d):
     assert gap <= 1e-10
 
 
-def test_sup_along_tracks_running_max():
-    seq = lebesgue_sequence(ZIGZAG3, GridSpec(0.4, 0.0))
-    assert sup_along(seq, ZIGZAG3, 3.0) == 1.0
-    assert sup_along(seq, ZIGZAG3, 0.9) == pytest.approx(0.9, abs=1e-15)
-
-
 def test_merge_error_bound_zigzag_and_wiener():
     x = _wiener(3)
     sigma = lebesgue_sequence(x, GridSpec(0.05, 0.0))
@@ -129,12 +140,3 @@ def test_sup_distance_checks_all_stamps():
     assert sup_distance(a, b) == 1.0
     with pytest.raises(ValueError):
         sup_distance(a, SampledPath(np.asarray([0.0, 2.0]), np.zeros(2)))
-
-
-def test_write_curve_csv(tmp_path):
-    curve = simple_qv(ZIGZAG3, UNIT)
-    f = tmp_path / "curve.csv"
-    write_curve_csv(curve, str(f))
-    lines = f.read_text().strip().splitlines()
-    assert lines[0] == "t,qv"
-    assert len(lines) == len(curve) + 1

@@ -21,7 +21,7 @@ from pwcalc import (
     ttv_sweep,
 )
 from pwcalc import truncvar
-from pwcalc.truncvar import ttv_running, write_profile_csv
+from pwcalc.truncvar import ttv_running
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 ZIGZAG4 = SampledPath(np.arange(5.0), np.asarray([0.0, 1.0, 0.0, 1.0, 0.0]))
@@ -147,13 +147,6 @@ def test_crossing_profile_integrates_to_ttv():
     assert np.all(prof.counts >= 0)
     assert prof.integral() == pytest.approx(1.5, abs=1e-12)
     assert banach_indicatrix_integral(ZIGZAG3, 0.5) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_write_profile_csv(tmp_path):
-    prof = crossing_profile(ZIGZAG3, 0.5)
-    f = tmp_path / "prof.csv"
-    write_profile_csv(prof, str(f))
-    assert f.read_text().splitlines()[0] == "z_lo,z_hi,count"
 
 
 def test_transition_counts_quarter_grid():

@@ -30,7 +30,7 @@ from .paths import (
     REL_TOL,
     PathGeneratorConfig,
     SampledPath,
-    _check_json_keys,
+    _check_json_fields,
     generate,
     hitting_time_abs,
 )
@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        if self.m_lo > self.m_hi:
+            raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -143,10 +145,9 @@ class ExperimentConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version}")
-        _check_json_keys(ExperimentConfig, d, "config")
+        _check_json_fields(ExperimentConfig, d, "config")
         d["generator"] = PathGeneratorConfig.from_json_dict(d["generator"])
-        d["c_exponents"] = tuple(d.get("c_exponents", ()))
-        d["p_list"] = tuple(d.get("p_list", (1.0, 1.5, 2.0, 3.0)))
+        d.update({k: tuple(d[k]) for k in ("c_exponents", "p_list") if k in d})
         return ExperimentConfig(**d)
 
 
@@ -230,12 +231,19 @@ def _member(cfg: ExperimentConfig, i: int) -> SampledPath:
     return generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
 
 
-def _member_paths(cfg: ExperimentConfig):
-    return parallel_map(lambda i: _member(cfg, i), range(cfg.ensemble_size))
+def _each_member(cfg: ExperimentConfig, fn) -> list:
+    """[fn(i, member i) for every member i], in member order, whatever the
+    thread count."""
+    return parallel_map(lambda i: fn(i, _member(cfg, i)), range(cfg.ensemble_size))
 
 
 def _median(values) -> float:
     return float(np.median(np.asarray(list(values), dtype=np.float64)))
+
+
+def _medians(keys, columns) -> dict:
+    """{key: median of its column}, in key order."""
+    return {k: _median(col) for k, col in zip(keys, columns)}
 
 
 def _jsonable(obj):
@@ -258,6 +266,12 @@ def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(list(values), dtype=np.float64)
     se = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return float(tree_mean(arr)), se
+
+
+def _z(diff: float, se: float) -> float:
+    """|diff| in standard errors. An exact zero agrees even when se is 0 (a
+    deterministic ensemble); any other diff at se = 0 is infinitely far."""
+    return 0.0 if diff == 0.0 else (abs(diff) / se if se > 0 else math.inf)
 
 
 def _mesh_over_sqrt_step(cfg: ExperimentConfig, mesh: float) -> float:
@@ -283,39 +297,40 @@ def _non_increasing(values) -> bool:
     return all(vals[i + 1] <= vals[i] + slack for i in range(len(vals) - 1))
 
 
+def _terminal_qv(x: SampledPath, grid: GridSpec) -> float:
+    """Simple QV of x at its horizon along its level sequence on grid."""
+    return float(qv_at(x, lebesgue_sequence(x, grid), np.asarray([x.horizon]))[0])
+
+
+def _capital(g: integration.StepProcess, x: SampledPath) -> SampledPath:
+    """Capital of holding g's values from zero initial capital, traded on x."""
+    return integration.capital_process(integration.SimpleStrategy(0.0, g.seq, g.values), x)
+
+
 # --------------------------------------------------------------------------
 # experiments
 
 
 def _exp_bdg_certify(cfg: ExperimentConfig):
-    rows = []
-    violations = 0
-    worst_gap = 0.0
-
-    def one(i):
-        x = _member(cfg, i)
+    def one(i, x):
         rng = np.random.default_rng(cfg.seed + 900_000 + i)
         spread = float(np.max(x.values) - np.min(x.values))
         mesh = max(spread, 1e-6) * float(rng.uniform(0.08, 0.4))
         offset = float(rng.uniform(0.0, mesh))
         offset = 0.0 if offset >= mesh else offset
         seq = lebesgue_sequence(x, GridSpec(mesh, offset))
-        out = []
-        for p in cfg.p_list:
-            cert = bdg.certify_path(x, seq, p)
-            out.append((p, cert.holds, len(seq)))
+        rows = [
+            {"member": i, "p": p, "stops": len(seq),
+             "holds": bool(bdg.certify_path(x, seq, p).holds)}
+            for p in cfg.p_list
+        ]
         big = 1.0 + float(np.max(np.abs(x.values)))
-        gap = integration.witness_identity_gap(x, seq, big)
-        bw_gap = _bdg_witness_gap(x, seq, big)
-        return i, out, gap, bw_gap
+        return rows, (integration.witness_identity_gap(x, seq, big), _bdg_witness_gap(x, seq, big))
 
-    results = parallel_map(one, range(cfg.ensemble_size))
-    for i, certs, gap, bw_gap in results:
-        for p, holds, k in certs:
-            if not holds:
-                violations += 1
-            rows.append({"member": i, "p": p, "stops": k, "holds": bool(holds)})
-        worst_gap = max(worst_gap, gap, bw_gap)
+    per_member, gaps = zip(*_each_member(cfg, one))
+    rows = [row for member_rows in per_member for row in member_rows]
+    violations = sum(not row["holds"] for row in rows)
+    worst_gap = max([0.0, *(g for pair in gaps for g in pair)])
     checks = [
         Check(
             "bdg-certificates-hold",
@@ -346,41 +361,29 @@ def _bdg_witness_gap(x: SampledPath, seq: StoppingSequence, big: float) -> float
 
 def _exp_qv_converge(cfg: ExperimentConfig):
     ms = list(range(cfg.m_lo, cfg.m_hi + 1))
-    gaps_by_pair = {m: [] for m in ms[:-1]}
-    terminal = []
-
-    def one(i):
-        x = _member(cfg, i)
-        curves = [simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-m, 0.0))) for m in ms]
-        gaps = [sup_distance(curves[j], curves[j + 1]) for j in range(len(ms) - 1)]
-        top = curves[-2] if len(ms) > 1 else curves[-1]
-        return gaps, float(top.values[-1])
-
-    results = parallel_map(one, range(cfg.ensemble_size))
-    for gaps, term in results:
-        for m, g in zip(ms[:-1], gaps):
-            gaps_by_pair[m].append(g)
-        terminal.append(term)
-    medians = {m: _median(gaps_by_pair[m]) for m in ms[:-1]}
-    med_list = [medians[m] for m in ms[:-1]]
-    decreasing = _non_increasing(med_list)
-    mean, se = _mean_se(terminal)
     level = ms[-2] if len(ms) > 1 else ms[-1]
+
+    def one(i, x):
+        curves = [simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-m, 0.0))) for m in ms]
+        gaps = [sup_distance(a, b) for a, b in zip(curves, curves[1:])]
+        return (*gaps, float(curves[level - ms[0]].values[-1]))
+
+    *gap_columns, terminal = zip(*_each_member(cfg, one))
+    medians = _medians(ms[:-1], gap_columns)
+    mean, se = _mean_se(terminal)
     checks = [
         Check(
             "median-consecutive-gap-decreasing",
             "statistical",
-            decreasing,
-            {"medians": {str(m): medians[m] for m in ms[:-1]},
+            _non_increasing(medians.values()),
+            {"medians": {str(m): v for m, v in medians.items()},
              "mesh_over_sqrt_step": _mesh_over_sqrt_step(cfg, 2.0**-ms[-1]),
              **_over_target(mean, cfg)},
         ),
     ]
-    table = [{"m": m, "median_gap": medians[m]} for m in ms[:-1]]
     target = _qv_target(cfg)
     if target is not None:
-        diff = abs(mean - target)
-        z = 0.0 if diff == 0.0 else (diff / se if se > 0 else math.inf)
+        z = _z(mean - target, se)
         checks.append(
             Check(
                 "terminal-mean-matches-target",
@@ -392,84 +395,62 @@ def _exp_qv_converge(cfg: ExperimentConfig):
                  **_over_target(mean, cfg)},
             )
         )
+    table = [{"m": m, "median_gap": v} for m, v in medians.items()]
     return checks, {"consecutive_gaps": table, "terminal": [{"mean": mean, "se": se}]}
 
 
 def _exp_ttv_converge(cfg: ExperimentConfig):
     exps = list(cfg.c_exponents) or list(range(4, 13))
-    ens = _member_paths(cfg)
-    est = np.asarray(
-        [
-            float(
-                qv_at(
-                    x,
-                    lebesgue_sequence(x, GridSpec(2.0**-cfg.est_level, 0.0)),
-                    np.asarray([x.horizon]),
-                )[0]
-            )
-            for x in ens
-        ]
-    )
+    grid = GridSpec(2.0**-cfg.est_level, 0.0)
+    values, est = zip(*_each_member(cfg, lambda i, x: (x.values, _terminal_qv(x, grid))))
+    est = np.asarray(est)
     cs = [float(m) ** -2 for m in exps]
-    ttv = truncvar._ttv_batch(np.stack([x.values for x in ens]), cs)
-    medians = {m: _median(np.abs(c * t - est)) for m, c, t in zip(exps, cs, ttv)}
-    seqm = [medians[m] for m in exps]
-    decreasing = _non_increasing(seqm)
-    final_ok = seqm[-1] < 0.05
+    ttv = truncvar._ttv_batch(np.stack(values), cs)
+    medians = _medians(exps, (np.abs(c * t - est) for c, t in zip(cs, ttv)))
+    final = medians[exps[-1]]
     # the dyadic reference on chord members, and how close c comes to sqrt(step)
-    diag = {"mesh_over_sqrt_step": _mesh_over_sqrt_step(cfg, 2.0**-cfg.est_level),
+    diag = {"mesh_over_sqrt_step": _mesh_over_sqrt_step(cfg, grid.mesh),
             **_over_target(float(tree_mean(est)), cfg)}
     checks = [
         Check(
             "median-ttv-distance-decreasing",
             "statistical",
-            decreasing,
-            {"medians": {str(m): medians[m] for m in exps}, **diag},
+            _non_increasing(medians[m] for m in exps),
+            {"medians": {str(m): v for m, v in medians.items()}, **diag},
         ),
         Check(
             "final-ttv-distance-small",
             "statistical",
-            bool(final_ok),
-            {"final_median": seqm[-1], "tolerance": 0.05, "estimate_level": cfg.est_level,
-             "c_over_sqrt_step": _mesh_over_sqrt_step(cfg, float(exps[-1]) ** -2), **diag},
+            bool(final < 0.05),
+            {"final_median": final, "tolerance": 0.05, "estimate_level": cfg.est_level,
+             "c_over_sqrt_step": _mesh_over_sqrt_step(cfg, cs[-1]), **diag},
         ),
     ]
-    table = [{"m": m, "c": float(m) ** -2, "median_abs_diff": medians[m]} for m in exps]
+    table = [{"m": m, "c": c, "median_abs_diff": medians[m]} for m, c in zip(exps, cs)]
     return checks, {"ttv_vs_dyadic": table}
 
 
 def _exp_sandwich(cfg: ExperimentConfig):
     ms = list(range(cfg.m_lo, cfg.m_hi + 1))
-    rows = []
-    failures = 0
 
-    def one(i):
-        x = _member(cfg, i)
-        return str(i), [truncvar.sandwich_check(x, m, cfg.threshold) for m in ms]
+    def reports(x):
+        return [truncvar.sandwich_check(x, m, cfg.threshold) for m in ms]
 
-    results = parallel_map(one, range(cfg.ensemble_size))
     fixtures = [
         ("zigzag-1", generate(PathGeneratorConfig("zigzag", horizon=3.0, step=1.0, seed=0))),
         ("zigzag-half", generate(
             PathGeneratorConfig("zigzag", horizon=2.0, step=0.25, seed=0, volatility=0.5)
         )),
     ]
-    for name, x in fixtures:
-        results.append((name, [truncvar.sandwich_check(x, m, cfg.threshold) for m in ms]))
-    for label, reps in results:
-        for rep in reps:
-            if not rep.holds:
-                failures += 1
-            rows.append(
-                {
-                    "member": label,
-                    "m": rep.m,
-                    "lower": rep.lower,
-                    "middle": rep.middle,
-                    "upper": rep.upper,
-                    "holds": bool(rep.holds),
-                }
-            )
+    labelled = _each_member(cfg, lambda i, x: (str(i), reports(x)))
+    labelled += [(name, reports(x)) for name, x in fixtures]
+    rows = [
+        {"member": label, "m": rep.m, "lower": rep.lower, "middle": rep.middle,
+         "upper": rep.upper, "holds": bool(rep.holds)}
+        for label, reps in labelled
+        for rep in reps
+    ]
+    failures = sum(not row["holds"] for row in rows)
     checks = [
         Check("sandwich-bounds-hold", "pathwise", failures == 0, {"failures": failures})
     ]
@@ -486,18 +467,12 @@ def _exp_isometry_mc(cfg: ExperimentConfig):
         gen = dataclasses.replace(cfg.generator, bridge_grid=(grid.mesh, grid.offset))
         resolved = dataclasses.replace(cfg, generator=gen)
 
-    def one(i):
-        x = _member(resolved, i)
-        seq = lebesgue_sequence(x, grid)
-        qv = float(qv_at(x, seq, np.asarray([x.horizon]))[0])
-        disp = float((x.values[-1] - x.values[0]) ** 2)
-        return disp, qv
+    def one(i, x):
+        return float((x.values[-1] - x.values[0]) ** 2), _terminal_qv(x, grid)
 
-    results = parallel_map(one, range(cfg.ensemble_size))
-    disp = np.asarray([r[0] for r in results])
-    qv = np.asarray([r[1] for r in results])
+    disp, qv = (np.asarray(col) for col in zip(*_each_member(resolved, one)))
     diff_mean, diff_se = _mean_se(disp - qv)
-    z = abs(diff_mean) / diff_se if diff_se > 0 else math.inf
+    z = _z(diff_mean, diff_se)
     dm, dse = _mean_se(disp)
     qm, qse = _mean_se(qv)
     checks = [
@@ -525,35 +500,26 @@ def _exp_isometry_mc(cfg: ExperimentConfig):
 
 
 def _exp_bdg_mc(cfg: ExperimentConfig):
-    mesh = 0.05
+    grid = GridSpec(0.05, 0.0)
 
-    def one(i):
-        x = _member(cfg, i)
-        seq = lebesgue_sequence(x, GridSpec(mesh, 0.0))
+    def one(i, x):
+        seq = lebesgue_sequence(x, grid)
         w = seq.values - seq.values[0]
         s = bdg.DiscreteSequence(np.append(w, x.values[-1] - seq.values[0]))
         return float(s.abs_max[-1]), float(s.bracket[-1])
 
-    results = parallel_map(one, range(cfg.ensemble_size))
-    xs = np.asarray([r[0] for r in results])
-    br = np.asarray([r[1] for r in results])
+    xs, br = (np.asarray(col) for col in zip(*_each_member(cfg, one)))
     checks = []
     table = []
     for p in cfg.p_list:
         cp = bdg.bdg_constant(p)
-        lhs1 = xs**p
-        rhs1 = cp * br ** (0.5 * p)
-        m1, s1 = _mean_se(rhs1 - lhs1)
-        lhs2 = br ** (0.5 * p)
-        rhs2 = cp * xs**p
-        m2, s2 = _mean_se(rhs2 - lhs2)
-        ok1 = m1 >= -3.0 * s1
-        ok2 = m2 >= -3.0 * s2
+        m1, s1 = _mean_se(cp * br ** (0.5 * p) - xs**p)
+        m2, s2 = _mean_se(cp * xs**p - br ** (0.5 * p))
         checks.append(
             Check(
                 f"bdg-mean-bounds-p={p:g}",
                 "statistical",
-                bool(ok1 and ok2),
+                bool(m1 >= -3.0 * s1 and m2 >= -3.0 * s2),
                 {"margin_max_side": m1, "se_max_side": s1,
                  "margin_bracket_side": m2, "se_bracket_side": s2, "cp": cp},
             )
@@ -564,57 +530,38 @@ def _exp_bdg_mc(cfg: ExperimentConfig):
 
 def _exp_integral_converge(cfg: ExperimentConfig):
     js = list(range(cfg.m_lo, cfg.m_hi + 1))
-    cov_gaps = {j: [] for j in js}
-    cauchy_rows = []
 
-    def one(i):
-        x = _member(cfg, i)
+    def one(i, x):
         y = _member(cfg, 1_000_000_000 + i)
         g = integration.step_approximation(x, cfg.integrand_level)
         h = integration.step_approximation(y, cfg.integrand_level)
-        gx = integration.capital_process(
-            integration.SimpleStrategy(0.0, g.seq, g.values), x
-        )
-        hy = integration.capital_process(
-            integration.SimpleStrategy(0.0, h.seq, h.values), y
-        )
-        gaps = {}
-        for j in js:
-            # half-mesh offset keeps the grid off the integrand's stop levels
-            d = 2.0**-j
-            ux = lebesgue_sequence(x, GridSpec(d, 0.5 * d))
-            uy = lebesgue_sequence(y, GridSpec(d, 0.5 * d))
-            seq = partitions.merge(ux, uy, x)
-            lhs = float(quadvar.qcov_at(gx, hy, seq, np.asarray([x.horizon]))[0])
-            xy = quadvar.simple_qcov(x, y, seq)
-            rhs = integration.stieltjes_integral(
-                _product_step(g, h), xy, x.horizon
-            )
-            gaps[j] = abs(lhs - rhs)
-        mf = integration.model_free_integral(x, x, cfg.integrand_level + 2)
-        return gaps, mf.sup_distances
+        gx, hy, gh = _capital(g, x), _capital(h, y), _product_step(g, h)
 
-    results = parallel_map(one, range(cfg.ensemble_size))
-    for gaps, sups in results:
-        for j in js:
-            cov_gaps[j].append(gaps[j])
-        cauchy_rows.append(sups)
-    medians = {j: _median(cov_gaps[j]) for j in js}
-    seqm = [medians[j] for j in js]
-    decreasing = _non_increasing(seqm)
-    cmed = [_median(col) for col in zip(*cauchy_rows)]
-    cauchy_dec = _non_increasing(cmed)
+        def gap(d):
+            # half-mesh offset keeps the grid off the integrand's stop levels
+            grid = GridSpec(d, 0.5 * d)
+            seq = partitions.merge(lebesgue_sequence(x, grid), lebesgue_sequence(y, grid), x)
+            lhs = float(quadvar.qcov_at(gx, hy, seq, np.asarray([x.horizon]))[0])
+            rhs = integration.stieltjes_integral(gh, quadvar.simple_qcov(x, y, seq), x.horizon)
+            return abs(lhs - rhs)
+
+        mf = integration.model_free_integral(x, x, cfg.integrand_level + 2)
+        return (*(gap(2.0**-j) for j in js), mf.sup_distances)
+
+    *gap_columns, sups = zip(*_each_member(cfg, one))
+    medians = _medians(js, gap_columns)
+    cmed = [_median(col) for col in zip(*sups)]
     checks = [
         Check(
             "covariation-identity-refines",
             "statistical",
-            bool(decreasing and seqm[-1] < 0.02),
-            {"medians": {str(j): medians[j] for j in js}, "final_tolerance": 0.02},
+            bool(_non_increasing(medians.values()) and medians[js[-1]] < 0.02),
+            {"medians": {str(j): v for j, v in medians.items()}, "final_tolerance": 0.02},
         ),
         Check(
             "integral-cauchy-gaps-decreasing",
             "statistical",
-            bool(cauchy_dec),
+            bool(_non_increasing(cmed)),
             {"medians": [float(v) for v in cmed]},
         ),
     ]
@@ -625,9 +572,8 @@ def _exp_integral_converge(cfg: ExperimentConfig):
         checks.append(Check("localization-consistent", "pathwise", True, {}))
     except integration.ConsistencyError as exc:
         checks.append(Check("localization-consistent", "pathwise", False, {"error": str(exc)}))
-    table = [{"j": j, "median_gap": medians[j]} for j in js]
     return checks, {
-        "covariation": table,
+        "covariation": [{"j": j, "median_gap": v} for j, v in medians.items()],
         "cauchy": [{"m": m, "median_sup_gap": v} for m, v in enumerate(cmed)],
     }
 
@@ -642,58 +588,44 @@ def _product_step(g: integration.StepProcess, h: integration.StepProcess):
 
 def _exp_distance_rates(cfg: ExperimentConfig):
     ms = list(range(cfg.m_lo, cfg.m_hi + 1))
-    ens = _member_paths(cfg)
-    rate_rows = []
-    checks = []
+    ens = _each_member(cfg, lambda i, x: x)
+    levels = {"n_levels": cfg.n_levels, "qv_level": cfg.qv_level}
 
     def fm(m):
         return lambda x: integration.step_approximation(x, m)
 
     def fm_curve(m):
-        def curve(x):
-            g = integration.step_approximation(x, m)
-            return integration.capital_process(
-                integration.SimpleStrategy(0.0, g.seq, g.values), x
-            )
+        return lambda x: _capital(integration.step_approximation(x, m), x)
 
-        return curve
-
+    rate_rows = []
+    checks = []
     for m in ms:
-        rep = integration.empirical_dqv(
-            fm(m), lambda x: x, ens, n_levels=cfg.n_levels, qv_level=cfg.qv_level
-        )
+        rep = integration.empirical_dqv(fm(m), lambda x: x, ens, **levels)
         bound = 12.5 * 2.0**-m
-        ok = rep.value <= bound + 3.0 * rep.std_error
+        ok = bool(rep.value <= bound + 3.0 * rep.std_error)
         rate_rows.append(
-            {"m": m, "dqv": rep.value, "se": rep.std_error, "bound": bound, "holds": bool(ok)}
+            {"m": m, "dqv": rep.value, "se": rep.std_error, "bound": bound, "holds": ok}
         )
         checks.append(
-            Check(
-                f"dqv-rate-m={m}",
-                "statistical",
-                bool(ok),
-                {"dqv": rep.value, "bound": bound, "se": rep.std_error},
-            )
+            Check(f"dqv-rate-m={m}", "statistical", ok,
+                  {"dqv": rep.value, "bound": bound, "se": rep.std_error})
         )
     pair_rows = []
     pairs = [(m, m + 1) for m in ms[:-1]] + ([(ms[0], ms[-1])] if len(ms) > 1 else [])
     for a, b in pairs:
-        dq = integration.empirical_dqv(
-            fm(a), fm(b), ens, n_levels=cfg.n_levels, qv_level=cfg.qv_level
-        )
+        dq = integration.empirical_dqv(fm(a), fm(b), ens, **levels)
         di = integration.empirical_dinf(fm_curve(a), fm_curve(b), ens, n_levels=cfg.n_levels)
-        diff = di.per_path - 6.0 * dq.per_path
-        mean, se = _mean_se(diff)
-        ok = mean <= 3.0 * se
+        mean, se = _mean_se(di.per_path - 6.0 * dq.per_path)
+        ok = bool(mean <= 3.0 * se)
         pair_rows.append(
             {"m": a, "m_prime": b, "dinf": di.value, "dqv": dq.value,
-             "margin": mean, "se": se, "holds": bool(ok)}
+             "margin": mean, "se": se, "holds": ok}
         )
         checks.append(
             Check(
                 f"continuity-m={a}-vs-{b}",
                 "statistical",
-                bool(ok),
+                ok,
                 {"dinf": di.value, "dqv": dq.value, "margin": mean, "se": se,
                  "mesh_over_sqrt_step": _mesh_over_sqrt_step(cfg, 2.0**-b),
                  "qv_mesh_over_sqrt_step": _mesh_over_sqrt_step(cfg, 2.0**-cfg.qv_level),
@@ -733,8 +665,7 @@ def _oracle_checks(cfg: ExperimentConfig) -> list:
     worst_rel = 0.0
     for i in range(5):
         x = _member(cfg, i)
-        short = SampledPath(x.times[:201] if len(x) > 201 else x.times,
-                            x.values[:201] if len(x) > 201 else x.values)
+        short = SampledPath(x.times[:201], x.values[:201])
         c = float(rng.uniform(0.05, 0.5)) * max(
             1e-6, float(np.max(short.values) - np.min(short.values))
         )

@@ -218,13 +218,33 @@ class PathGeneratorConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PathGeneratorConfig":
-        _check_json_keys(PathGeneratorConfig, d, "generator")
+        _check_json_fields(PathGeneratorConfig, d, "generator")
         return PathGeneratorConfig(**d)
 
 
-def _check_json_keys(cls, d, what: str) -> None:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON name and value test by field annotation; the tuple fields of the
+# configs hold numbers, and an int is a float, but a bool is no number
+_JSON_TYPES = {
+    "int": ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("number", _is_number),
+    "bool": ("boolean", lambda v: isinstance(v, bool)),
+    "str": ("string", lambda v: isinstance(v, str)),
+    "tuple": (
+        "list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))
+    ),
+    "None": ("null", lambda v: v is None),
+}
+
+
+def _check_json_fields(cls, d, what: str) -> None:
     """ValueError naming the keys a JSON object lacks or has beyond the
-    fields of the dataclass cls."""
+    fields of the dataclass cls, and the keys whose values are not of their
+    field's type. A field of another type (a nested config) is left to its
+    own from_json_dict."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -238,6 +258,11 @@ def _check_json_keys(cls, d, what: str) -> None:
     problems = [
         f"{kind} keys {keys}" for kind, keys in (("missing", missing), ("unknown", unknown)) if keys
     ]
+    for f in fields:
+        types = [_JSON_TYPES.get(t) for t in f.type.split(" | ")]
+        if f.name in d and None not in types and not any(ok(d[f.name]) for _, ok in types):
+            expected = " or ".join(name for name, _ in types)
+            problems.append(f"{f.name} is {d[f.name]!r}, {expected} expected")
     if problems:
         raise ValueError(f"{what}: {'; '.join(problems)}")
 

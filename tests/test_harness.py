@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, artifacts, CLI wiring."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -109,8 +110,13 @@ def test_non_increasing_slack():
     assert _non_increasing([])
 
 
-def test_run_deterministic_across_thread_counts(monkeypatch):
-    cfg = _tiny("sandwich", m_lo=3, m_hi=4)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_deterministic_across_thread_counts(monkeypatch, experiment):
+    # every experiment draws its members through one runner; its ordering
+    # must not depend on the schedule
+    preset = default_config(experiment, seed=1)
+    gen = dataclasses.replace(preset.generator, step=2.0**-8)
+    cfg = dataclasses.replace(preset, generator=gen, ensemble_size=4)
     monkeypatch.setenv("PWCALC_THREADS", "1")
     r1 = run(cfg)
     monkeypatch.setenv("PWCALC_THREADS", "4")
@@ -154,6 +160,18 @@ def test_isometry_smoke():
     (chk,) = rep.checks
     assert chk.kind == "statistical" and "z" in chk.details
     assert rep.pathwise_ok  # vacuous: no pathwise checks in this experiment
+
+
+def test_isometry_exact_agreement_on_constant_paths():
+    # X_T^2 = QV_T = 0 on every member: the paired difference is exactly 0
+    # with zero spread, which agrees (z = 0), it is not infinitely far
+    cfg = ExperimentConfig(
+        "isometry-mc", PathGeneratorConfig("constant", drift=0.3), ensemble_size=5, m_hi=4
+    )
+    (chk,) = run(cfg).checks
+    assert chk.details["paired_diff_mean"] == 0.0 and chk.details["paired_diff_se"] == 0.0
+    assert chk.details["z"] == 0.0
+    assert chk.passed
 
 
 def test_oracle_flag_adds_crosscheck():
@@ -225,6 +243,59 @@ def test_config_unknown_key_is_named(tmp_path):
     f.write_text(json.dumps(doc))
     with pytest.raises(SystemExit, match=r"unknown keys \['extra'\]"):
         cli.main(["sandwich", "--config", str(f)])
+
+
+def test_config_value_of_wrong_type_is_named():
+    doc = _tiny("sandwich").to_json_dict()
+    doc.update(ensemble_size="3", p_list=[1.0, True], strict_mc=1, threshold="0.1")
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_json_dict(doc)
+    msg = str(err.value)
+    assert msg.startswith("config: ")
+    for name in ("ensemble_size", "p_list", "strict_mc", "threshold"):
+        assert f"{name} is " in msg
+    assert "seed" not in msg and "m_hi" not in msg
+    # an int where a float is expected is a number; null where allowed
+    good = _tiny("sandwich").to_json_dict()
+    good.update(threshold=1, p_list=[1, 2.5], output_dir=None)
+    cfg = ExperimentConfig.from_json_dict(good)
+    assert cfg.threshold == 1 and cfg.p_list == (1, 2.5)
+
+
+def test_generator_value_of_wrong_type_is_named():
+    with pytest.raises(ValueError, match=r"generator: step is '0\.1', number expected"):
+        PathGeneratorConfig.from_json_dict({"kind": "wiener", "step": "0.1"})
+    with pytest.raises(ValueError) as err:
+        PathGeneratorConfig.from_json_dict(
+            {"kind": "wiener", "seed": 1.5, "drift": False, "bridge_grid": [0.5, "0"]}
+        )
+    for name in ("seed", "drift", "bridge_grid"):
+        assert f"{name} is " in str(err.value)
+    gen = PathGeneratorConfig.from_json_dict({"kind": "wiener", "horizon": 2, "step": 1})
+    assert gen == PathGeneratorConfig("wiener", horizon=2.0, step=1.0)
+
+
+def test_cli_names_value_of_wrong_type(tmp_path):
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(
+        {"experiment": "sandwich", "generator": {"kind": "wiener"}, "ensemble_size": "3"}
+    ))
+    with pytest.raises(SystemExit, match=r"ensemble_size is '3', integer expected"):
+        cli.main(["sandwich", "--config", str(f)])
+
+
+def test_empty_m_range_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="m_lo"):
+        _tiny("qv-converge", m_lo=5, m_hi=3)
+    doc = _tiny("sandwich").to_json_dict()
+    doc.update(m_lo=5, m_hi=3)
+    with pytest.raises(ValueError, match="m_lo"):
+        ExperimentConfig.from_json_dict(doc)
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match="m_lo"):
+        cli.main(["sandwich", "--config", str(f)])
+    assert _tiny("sandwich", m_lo=3, m_hi=3).m_lo == 3
 
 
 def test_cli_seed_override():

@@ -11,7 +11,6 @@ from .bdg import BdgCertificate, DiscreteSequence, certificate_p, certificate_p1
 from .harness import ExperimentConfig, Report, default_config, run
 from .integration import (
     ConsistencyError,
-    SimpleStrategy,
     StepProcess,
     bdg_witness_strategy,
     capital_process,
@@ -30,15 +29,12 @@ from .partitions import (
     StoppingSequence,
     lebesgue_sequence,
     merge,
-    shifted_lebesgue_family,
-    truncate_sequence,
     verify_fine_cover,
 )
 from .paths import (
     INFINITE_TIME,
     PathGeneratorConfig,
     SampledPath,
-    divergence_time,
     evaluate,
     evaluate_many,
     generate,
@@ -55,11 +51,8 @@ from .quadvar import (
 )
 from .truncvar import (
     CrossingProfile,
-    averaged_shifted_qv,
     banach_indicatrix_integral,
-    crossing_count,
     crossing_profile,
-    qv_from_ttv,
     sandwich_check,
     transition_count,
     ttv_dp_oracle,
@@ -81,20 +74,16 @@ __all__ = [
     "Report",
     "ResourceLimitError",
     "SampledPath",
-    "SimpleStrategy",
     "StepProcess",
     "StoppingSequence",
-    "averaged_shifted_qv",
     "banach_indicatrix_integral",
     "bdg_witness_strategy",
     "capital_process",
     "certificate_p",
     "certificate_p1",
     "certify_path",
-    "crossing_count",
     "crossing_profile",
     "default_config",
-    "divergence_time",
     "empirical_dinf",
     "empirical_dqv",
     "evaluate",
@@ -108,17 +97,14 @@ __all__ = [
     "model_free_integral",
     "qv_at",
     "qv_estimate_dyadic",
-    "qv_from_ttv",
     "run",
     "sandwich_check",
-    "shifted_lebesgue_family",
     "simple_qcov",
     "simple_qv",
     "step_approximation",
     "stieltjes_integral",
     "sup_distance",
     "transition_count",
-    "truncate_sequence",
     "ttv_dp_oracle",
     "ttv_sweep",
     "verify_fine_cover",

@@ -125,8 +125,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        if self.m_lo < 0:
+            raise ValueError(f"m_lo ({self.m_lo}) must be >= 0")
         if self.m_lo > self.m_hi:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
+        if any(c <= 0 for c in self.c_exponents):
+            raise ValueError(f"c_exponents {self.c_exponents} must all be > 0")
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -300,11 +304,6 @@ def _non_increasing(values) -> bool:
 def _terminal_qv(x: SampledPath, grid: GridSpec) -> float:
     """Simple QV of x at its horizon along its level sequence on grid."""
     return float(qv_at(x, lebesgue_sequence(x, grid), np.asarray([x.horizon]))[0])
-
-
-def _capital(g: integration.StepProcess, x: SampledPath) -> SampledPath:
-    """Capital of holding g's values from zero initial capital, traded on x."""
-    return integration.capital_process(integration.SimpleStrategy(0.0, g.seq, g.values), x)
 
 
 # --------------------------------------------------------------------------
@@ -535,7 +534,8 @@ def _exp_integral_converge(cfg: ExperimentConfig):
         y = _member(cfg, 1_000_000_000 + i)
         g = integration.step_approximation(x, cfg.integrand_level)
         h = integration.step_approximation(y, cfg.integrand_level)
-        gx, hy, gh = _capital(g, x), _capital(h, y), _product_step(g, h)
+        gx, hy = integration.capital_process(g, x), integration.capital_process(h, y)
+        gh = _product_step(g, h)
 
         def gap(d):
             # half-mesh offset keeps the grid off the integrand's stop levels
@@ -595,7 +595,7 @@ def _exp_distance_rates(cfg: ExperimentConfig):
         return lambda x: integration.step_approximation(x, m)
 
     def fm_curve(m):
-        return lambda x: _capital(integration.step_approximation(x, m), x)
+        return lambda x: integration.capital_process(integration.step_approximation(x, m), x)
 
     rate_rows = []
     checks = []

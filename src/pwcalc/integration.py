@@ -1,9 +1,9 @@
 """Simple strategies, model-free integrals, and empirical pseudo-distances.
 
-A simple strategy holds position g_{n-1} on [tau_{n-1}, tau_n); its capital
-against a path X is
+A simple strategy is a step process: it holds position g_{n-1} on
+[tau_{n-1}, tau_n), and its capital against a path X is
 
-    (G.X)(t) = c + sum_n g_{n-1} (X(tau_n ^ t) - X(tau_{n-1} ^ t)),
+    (G.X)(t) = sum_n g_{n-1} (X(tau_n ^ t) - X(tau_{n-1} ^ t)),
 
 exact and piecewise linear between the union of stop and sample times. Step
 approximation of a sampled integrand F stops each time F moves 2^-m from its
@@ -33,16 +33,8 @@ import numpy as np
 
 from .bdg import certify_path
 from .partitions import StoppingSequence, _grid_hits
-from .paths import (
-    INFINITE_TIME,
-    REL_TOL,
-    SampledPath,
-    _interp,
-    divergence_time,
-    evaluate_many,
-    hitting_time_abs,
-)
-from .quadvar import qv_at, qv_estimate_dyadic, simple_qv, sup_distance
+from .paths import REL_TOL, SampledPath, _interp, evaluate_many, hitting_time_abs
+from .quadvar import qv_at, qv_estimate_dyadic, sup_distance
 
 _MAX_VARIATION = 1e12
 
@@ -68,27 +60,6 @@ class StepProcess:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class SimpleStrategy:
-    """Initial capital plus positions set at each stop and held to the next."""
-
-    initial_capital: float
-    seq: StoppingSequence
-    positions: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.positions, dtype=np.float64)
-        if g.shape != self.seq.times.shape:
-            raise ValueError("one position per stop time required")
-        if not (np.all(np.isfinite(g)) and math.isfinite(self.initial_capital)):
-            raise ValueError("strategy data must be finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "positions", g)
-
-    def as_step_process(self) -> StepProcess:
-        return StepProcess(self.seq, self.positions)
-
-
 def step_values_at(sp: StepProcess, ts: np.ndarray) -> np.ndarray:
     """Vectorized step lookup; before the first stop the value is values[0]."""
     idx = np.searchsorted(sp.seq.times, np.asarray(ts, dtype=np.float64), side="right") - 1
@@ -96,23 +67,21 @@ def step_values_at(sp: StepProcess, ts: np.ndarray) -> np.ndarray:
     return sp.values[idx]
 
 
-def capital_process(strategy: SimpleStrategy, x: SampledPath) -> SampledPath:
-    """Capital curve of the strategy against x, exact at and between stamps."""
-    tau = strategy.seq.times
-    if strategy.seq.horizon != x.horizon:
+def capital_process(g: StepProcess, x: SampledPath) -> SampledPath:
+    """Capital from zero of holding g's values against x, exact at and between stamps."""
+    tau = g.seq.times
+    if g.seq.horizon != x.horizon:
         raise ValueError("strategy and path horizons differ")
-    g = strategy.positions
+    pos = g.values
     wx = evaluate_many(x, tau)
-    cum = strategy.initial_capital + np.concatenate(
-        ([0.0], np.cumsum(g[:-1] * np.diff(wx)))
-    )
+    cum = np.concatenate(([0.0], np.cumsum(pos[:-1] * np.diff(wx))))
     stamps = np.union1d(x.times, tau)
     idx = np.searchsorted(tau, stamps, side="right") - 1
-    vals = cum[idx] + g[idx] * (evaluate_many(x, stamps) - wx[idx])
+    vals = cum[idx] + pos[idx] * (evaluate_many(x, stamps) - wx[idx])
     return SampledPath(stamps, vals)
 
 
-def witness_strategy_qv(x: SampledPath, seq: StoppingSequence, threshold: float) -> SimpleStrategy:
+def witness_strategy_qv(x: SampledPath, seq: StoppingSequence, threshold: float) -> StepProcess:
     """Strategy whose capital is (X_t - X_0)^2 - qv(t) up to sigma(X, threshold).
 
     Positions are 2 (X(tau_n) - X_0), zeroed from the first stop at or past
@@ -122,7 +91,7 @@ def witness_strategy_qv(x: SampledPath, seq: StoppingSequence, threshold: float)
     w = seq.values
     g = 2.0 * (w - w[0])
     g[seq.times >= sigma] = 0.0
-    return SimpleStrategy(0.0, seq, g)
+    return StepProcess(seq, g)
 
 
 def witness_identity_gap(x: SampledPath, seq: StoppingSequence, threshold: float) -> float:
@@ -141,31 +110,17 @@ def witness_identity_gap(x: SampledPath, seq: StoppingSequence, threshold: float
 
 
 def bdg_witness_strategy(
-    x: SampledPath,
-    seq: StoppingSequence,
-    p: float,
-    threshold: float,
-    eps: float = INFINITE_TIME,
-    qv_proxy: SampledPath | None = None,
-) -> SimpleStrategy:
-    """Positions from the certificate weights, cut off at sigma and rho.
+    x: SampledPath, seq: StoppingSequence, p: float, threshold: float
+) -> StepProcess:
+    """Positions from the certificate weights, zeroed from sigma on.
 
     The weights are h for p = 1 and g for p > 1, taken from certify_path on
-    the shifted sampled sequence. When eps is finite a qv_proxy curve must be
-    given; rho is the first time the simple qv along seq and the proxy
-    diverge by eps, and positions are zeroed from min(sigma, rho) on.
+    the shifted sampled sequence.
     """
     cert = certify_path(x, seq, p)
-    weights = cert.h if p == 1.0 else cert.g
-    cutoff = hitting_time_abs(x, threshold)
-    if math.isfinite(eps):
-        if qv_proxy is None:
-            raise ValueError("finite eps needs a qv_proxy curve")
-        rho = divergence_time(simple_qv(x, seq), qv_proxy, eps)
-        cutoff = min(cutoff, rho)
-    g = weights.copy()
-    g[seq.times >= cutoff] = 0.0
-    return SimpleStrategy(0.0, seq, g)
+    g = (cert.h if p == 1.0 else cert.g).copy()
+    g[seq.times >= hitting_time_abs(x, threshold)] = 0.0
+    return StepProcess(seq, g)
 
 
 def step_approximation(f: SampledPath, m: int) -> StepProcess:
@@ -196,10 +151,6 @@ class ModelFreeResult:
     curves: list
     sup_distances: list
 
-    @property
-    def final(self) -> SampledPath:
-        return self.curves[-1]
-
 
 def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFreeResult:
     """Curves (F^m . X) for m = 0..m_max plus consecutive sup-distances."""
@@ -207,10 +158,7 @@ def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFree
         raise ValueError("integrand and integrator horizons differ")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    curves = []
-    for m in range(m_max + 1):
-        sp = step_approximation(f, m)
-        curves.append(capital_process(SimpleStrategy(0.0, sp.seq, sp.values), x))
+    curves = [capital_process(step_approximation(f, m), x) for m in range(m_max + 1)]
     gaps = [sup_distance(curves[i], curves[i + 1]) for i in range(len(curves) - 1)]
     return ModelFreeResult(curves=curves, sup_distances=gaps)
 
@@ -218,17 +166,13 @@ def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFree
 def _integrand_values_at(g, ts: np.ndarray) -> np.ndarray:
     if isinstance(g, StepProcess):
         return step_values_at(g, ts)
-    if isinstance(g, SimpleStrategy):
-        return step_values_at(g.as_step_process(), ts)
     if isinstance(g, SampledPath):
         return evaluate_many(g, ts)
-    raise TypeError("integrand must be a StepProcess, SimpleStrategy, or SampledPath")
+    raise TypeError("integrand must be a StepProcess or SampledPath")
 
 
 def _integrand_times(g) -> np.ndarray:
-    if isinstance(g, (StepProcess, SimpleStrategy)):
-        return g.seq.times
-    return g.times
+    return g.seq.times if isinstance(g, StepProcess) else g.times
 
 
 def stieltjes_integral(g, v: SampledPath, t: float | None = None) -> float:
@@ -286,7 +230,7 @@ def localized_integral(
     for n in levels:
         sigma = min(hitting_time_abs(f, n), f.horizon)
         sigmas.append(sigma)
-        curves.append(model_free_integral(_stopped_path(f, sigma), x, m_max).final)
+        curves.append(capital_process(step_approximation(_stopped_path(f, sigma), m_max), x))
     gaps = []
     for i in range(len(curves) - 1):
         gap = _sup_gap_upto(curves[i], curves[i + 1], sigmas[i])
@@ -314,36 +258,17 @@ class EmpiricalDistanceReport:
 
     value: float
     std_error: float
-    per_level: list
     per_path: np.ndarray
-    n_levels: int
     reference_mean: float | None = None  # d_QV only: mean terminal value of the qv estimate
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "per_level": list(self.per_level),
-            "n_paths": int(self.per_path.size),
-            "n_levels": self.n_levels,
-        }
 
-
-def _realize(obj, path: SampledPath):
-    return obj(path) if callable(obj) else obj
-
-
-def _mean_report(
-    per_path: np.ndarray, per_level: np.ndarray, n_levels: int, reference_mean=None
-) -> EmpiricalDistanceReport:
+def _mean_report(per_path: np.ndarray, reference_mean=None) -> EmpiricalDistanceReport:
     n = per_path.size
     se = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EmpiricalDistanceReport(
         value=float(np.mean(per_path)),
         std_error=se,
-        per_level=[float(v) for v in per_level / n],
         per_path=per_path,
-        n_levels=n_levels,
         reference_mean=reference_mean,
     )
 
@@ -353,19 +278,18 @@ def empirical_dqv(
 ) -> EmpiricalDistanceReport:
     """Ensemble surrogate of the localized qv pseudo-distance between g and h.
 
-    g and h may be fixed processes or callables path -> process (step
-    approximations are path-dependent). The integrator is the finest dyadic
-    qv estimate at qv_level.
+    g and h are callables path -> process (step approximations are
+    path-dependent). The integrator is the finest dyadic qv estimate at
+    qv_level.
     """
     paths = list(paths)
     if not paths:
         raise ValueError("need at least one path")
     per_path = np.zeros(len(paths))
-    per_level = np.zeros(n_levels)
     q_end = np.zeros(len(paths))
     for i, x in enumerate(paths):
-        gi = _realize(g, x)
-        hi = _realize(h, x)
+        gi = g(x)
+        hi = h(x)
         q = qv_estimate_dyadic(x, qv_level)[-1]
         q_end[i] = q.values[-1]
         mesh = np.union1d(
@@ -382,27 +306,24 @@ def empirical_dqv(
                 float(_interp(t_n, q)) - qvals[j]
             ) if j < gap.size else 0.0
             integral = max(cum[j] + part, 0.0)
-            term = math.sqrt(integral)
-            per_level[n - 1] += term
-            contrib += 2.0**-n * term
+            contrib += 2.0**-n * math.sqrt(integral)
         per_path[i] = contrib
-    return _mean_report(per_path, per_level, n_levels, float(np.mean(q_end)))
+    return _mean_report(per_path, float(np.mean(q_end)))
 
 
 def empirical_dinf(y, z, x_paths, n_levels: int = 8) -> EmpiricalDistanceReport:
     """Ensemble surrogate of the localized sup pseudo-distance between curves.
 
-    y and z may be fixed curves or callables path -> curve; localization
-    times come from the driving paths in x_paths.
+    y and z are callables path -> curve; localization times come from the
+    driving paths in x_paths.
     """
     x_paths = list(x_paths)
     if not x_paths:
         raise ValueError("need at least one path")
     per_path = np.zeros(len(x_paths))
-    per_level = np.zeros(n_levels)
     for i, x in enumerate(x_paths):
-        yi = _realize(y, x)
-        zi = _realize(z, x)
+        yi = y(x)
+        zi = z(x)
         stamps = np.union1d(yi.times, zi.times)
         gap = np.abs(evaluate_many(yi, stamps) - evaluate_many(zi, stamps))
         running = np.maximum.accumulate(gap)
@@ -414,8 +335,6 @@ def empirical_dinf(y, z, x_paths, n_levels: int = 8) -> EmpiricalDistanceReport:
                 float(_interp(t_n, yi))
                 - float(_interp(t_n, zi))
             )
-            sup = max(float(running[j]), at_t)
-            per_level[n - 1] += sup
-            contrib += 2.0**-n * sup
+            contrib += 2.0**-n * max(float(running[j]), at_t)
         per_path[i] = contrib
-    return _mean_report(per_path, per_level, n_levels)
+    return _mean_report(per_path)

@@ -241,29 +241,3 @@ def merge(a: StoppingSequence, b: StoppingSequence, path: SampledPath) -> Stoppi
     times = np.union1d(a.times, b.times)
     values = evaluate_many(path, times)
     return StoppingSequence(times, values, path.horizon, label=f"merge({a.label},{b.label})")
-
-
-def shifted_lebesgue_family(
-    path: SampledPath, m: int, max_hits: int = MAX_GRID_HITS
-) -> list[StoppingSequence]:
-    """Level sequences on mesh m^-2 at the m offsets k*m^-3, k = 0..m-1."""
-    if m < 2:
-        raise ValueError("family needs m >= 2")
-    d = float(m) ** -2
-    return [
-        lebesgue_sequence(path, GridSpec(d, k * float(m) ** -3), max_hits) for k in range(m)
-    ]
-
-
-def truncate_sequence(seq: StoppingSequence, t: float, path: SampledPath) -> StoppingSequence:
-    """Stops capped at t: keeps stops with tau < t and appends t itself.
-
-    The appended final stop carries the path value at t, so sums along the
-    truncated sequence agree with horizon-truncated sums along the original.
-    """
-    if t < 0.0 or t > seq.horizon:
-        raise ValueError("truncation time out of range")
-    keep = seq.times < t
-    times = np.append(seq.times[keep], t)
-    values = np.append(seq.values[keep], evaluate_many(path, np.asarray([t]))[0])
-    return StoppingSequence(times, values, seq.horizon, label=seq.label)

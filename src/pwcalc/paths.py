@@ -144,21 +144,6 @@ def hitting_time_abs(path: SampledPath, threshold: float, start: float = 0.0) ->
     return float(min(cands))
 
 
-def divergence_time(a: SampledPath, b: SampledPath, eps: float) -> float:
-    """First time |a(t) - b(t)| >= eps on the common horizon, or INFINITE_TIME."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    h = min(a.horizon, b.horizon)
-    ts = np.union1d(a.times, b.times)
-    ts = ts[ts <= h]
-    if ts[-1] != h:
-        ts = np.append(ts, h)
-    diff = evaluate_many(a, ts) - evaluate_many(b, ts)
-    if ts.size == 1:
-        return 0.0 if abs(diff[0]) >= eps else INFINITE_TIME
-    return hitting_time_abs(SampledPath(ts, diff), eps)
-
-
 @dataclass(frozen=True)
 class PathGeneratorConfig:
     """Config for the built-in path generators.

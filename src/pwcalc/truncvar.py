@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import GridSpec, _grid_hits, shifted_lebesgue_family, truncate_sequence
+from .partitions import GridSpec, _grid_hits
 from .paths import REL_TOL, SampledPath, evaluate_many, hitting_time_abs
-from .quadvar import QvCurve, simple_qv
 
 
 def _window_values(path: SampledPath, a: float, b: float) -> np.ndarray:
@@ -61,8 +60,8 @@ def ttv_dp_oracle(path: SampledPath, c: float, a: float = 0.0, b: float | None =
     return float(v.max())
 
 
-def _sweep_from_values(x: np.ndarray, c: float, running: np.ndarray | None = None) -> float:
-    """Final ttv(c) of the values; with running, the ttv of each prefix too."""
+def _sweep_from_values(x: np.ndarray, c: float) -> float:
+    """Final ttv(c) of the values."""
     x = x.tolist()  # on one row, a loop over floats beats numpy about tenfold
     best = 0.0
     m_minus = -x[0]
@@ -76,8 +75,6 @@ def _sweep_from_values(x: np.ndarray, c: float, running: np.ndarray | None = Non
             m_minus = vi - xi
         if vi + xi > m_plus:
             m_plus = vi + xi
-        if running is not None:
-            running[i] = best
     return best
 
 
@@ -92,15 +89,6 @@ def ttv_sweep(path: SampledPath, c: float, a: float = 0.0, b: float | None = Non
         raise ValueError("threshold c must be nonnegative")
     x = _window_values(path, a, path.horizon if b is None else b)
     return _sweep_from_values(x, c)
-
-
-def ttv_running(path: SampledPath, c: float) -> np.ndarray:
-    """ttv(c, [0, t]) at every sample time, one pass."""
-    if c < 0.0:
-        raise ValueError("threshold c must be nonnegative")
-    out = np.zeros(path.values.size)
-    _sweep_from_values(path.values, c, out)
-    return out
 
 
 def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
@@ -123,16 +111,6 @@ def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
         np.maximum(m_minus, vi - xi, out=m_minus)
         np.maximum(m_plus, vi + xi, out=m_plus)
     return best.reshape(cs.shape + x.shape[:1])
-
-
-def crossing_count(
-    path: SampledPath, z: float, c: float, a: float = 0.0, b: float | None = None
-) -> int:
-    """Crossings of the band [z - c/2, z + c/2] over the window, closed edges."""
-    if c <= 0.0:
-        raise ValueError("band width c must be positive")
-    x = _window_values(path, a, path.horizon if b is None else b)
-    return int(_crossing_counts_multi(x, np.asarray([z], dtype=np.float64), c)[0])
 
 
 def _crossing_counts_multi(x: np.ndarray, centers: np.ndarray, c: float) -> np.ndarray:
@@ -253,38 +231,3 @@ def sandwich_check(
         holds_lower=bool(lower <= middle + tol),
         holds_upper=bool(middle <= upper + tol),
     )
-
-
-def averaged_shifted_qv(
-    path: SampledPath, m: int, threshold: float | None = None
-) -> QvCurve:
-    """Average of the m shifted level-sequence qv curves, stopped at sigma.
-
-    sigma is the first time |X| reaches the threshold (default: above the
-    path range, so no stopping). Averaging over offsets removes the grid
-    alignment artifacts any single offset produces.
-    """
-    if m < 2:
-        raise ValueError("averaging needs m >= 2")
-    big = threshold if threshold is not None else 1.0 + float(np.max(np.abs(path.values)))
-    sigma = hitting_time_abs(path, big)
-    family = shifted_lebesgue_family(path, m)
-    if sigma < path.horizon:
-        family = [truncate_sequence(s, sigma, path) for s in family]
-    curves = [simple_qv(path, s) for s in family]
-    stamps = curves[0].times
-    for cur in curves[1:]:
-        stamps = np.union1d(stamps, cur.times)
-    vals = np.mean([evaluate_many(cur, stamps) for cur in curves], axis=0)
-    return QvCurve(stamps, vals, seq_id=f"avg-shifted:m={m}")
-
-
-def qv_from_ttv(path: SampledPath, c_schedule) -> list[QvCurve]:
-    """Curves t -> c * ttv(c, [0, t]) for each threshold c in the schedule."""
-    out = []
-    for c in c_schedule:
-        if c <= 0.0:
-            raise ValueError("thresholds must be positive")
-        vals = float(c) * ttv_running(path, float(c))
-        out.append(QvCurve(path.times, vals, seq_id=f"ttv:c={float(c):.17g}"))
-    return out

@@ -298,6 +298,29 @@ def test_empty_m_range_is_rejected(tmp_path):
     assert _tiny("sandwich", m_lo=3, m_hi=3).m_lo == 3
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("c_exponents", {"c_exponents": (4, 0, 6)}),
+        ("c_exponents", {"c_exponents": (-3,)}),
+        ("m_lo", {"m_lo": -2000, "m_hi": -1999}),
+        ("m_lo", {"m_lo": -1}),
+    ],
+)
+def test_config_out_of_range_is_named(tmp_path, field, bad):
+    # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows
+    experiment = "ttv-converge" if field == "c_exponents" else "qv-converge"
+    with pytest.raises(ValueError, match=field):
+        _tiny(experiment, **bad)
+    doc = _tiny(experiment).to_json_dict()
+    doc.update({k: list(v) if isinstance(v, tuple) else v for k, v in bad.items()})
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=field):
+        cli.main([experiment, "--config", str(f)])
+    assert _tiny(experiment, c_exponents=(1,), m_lo=0).m_lo == 0
+
+
 def test_cli_seed_override():
     args = cli.build_parser().parse_args(["sandwich", "--seed", "7"])
     cfg = cli.load_config(args)

@@ -52,3 +52,9 @@ def test_every_exported_name_resolves():
     missing = [name for name in pwcalc.__all__ if not hasattr(pwcalc, name)]
     assert not missing
     assert len(set(pwcalc.__all__)) == len(pwcalc.__all__)
+
+
+def test_exports_are_exactly_the_imported_names():
+    init = SRC / "__init__.py"
+    imported = {name for name, _ in _imported(ast.parse(init.read_text(), filename=str(init)))}
+    assert set(pwcalc.__all__) == imported

@@ -1,4 +1,4 @@
-"""Step strategies, capital processes, witness identities, model-free integrals."""
+"""Step processes, capital processes, witness identities, model-free integrals."""
 
 import math
 
@@ -12,7 +12,6 @@ from pwcalc import (
     GridSpec,
     PathGeneratorConfig,
     SampledPath,
-    SimpleStrategy,
     StepProcess,
     StoppingSequence,
     bdg_witness_strategy,
@@ -25,7 +24,6 @@ from pwcalc import (
     lebesgue_sequence,
     localized_integral,
     model_free_integral,
-    simple_qv,
     step_approximation,
     stieltjes_integral,
     sup_distance,
@@ -48,7 +46,7 @@ def test_step_process_validation():
     with pytest.raises(ValueError):
         StepProcess(seq, np.zeros(3))
     with pytest.raises(ValueError):
-        SimpleStrategy(math.nan, seq, np.zeros(2))
+        StepProcess(seq, np.asarray([math.nan, 0.0]))
 
 
 def test_step_values_left_constant_right_continuous():
@@ -59,17 +57,14 @@ def test_step_values_left_constant_right_continuous():
 
 
 def test_capital_process_zigzag():
-    strat = SimpleStrategy(0.0, UNIT, np.asarray([1.0, -1.0, 1.0, 0.0]))
+    strat = StepProcess(UNIT, np.asarray([1.0, -1.0, 1.0, 0.0]))
     cap = capital_process(strat, ZIGZAG3)
     at = evaluate_many(cap, np.asarray([0.0, 0.5, 1.0, 2.0, 3.0]))
     assert np.array_equal(at, [0.0, 0.5, 1.0, 2.0, 3.0])
-    shifted = SimpleStrategy(2.0, UNIT, np.asarray([1.0, -1.0, 1.0, 0.0]))
-    cap2 = capital_process(shifted, ZIGZAG3)
-    assert np.array_equal(cap2.values, cap.values + 2.0)
 
 
 def test_capital_process_horizon_mismatch():
-    strat = SimpleStrategy(0.0, UNIT, np.zeros(4))
+    strat = StepProcess(UNIT, np.zeros(4))
     with pytest.raises(ValueError):
         capital_process(strat, LINE01)
 
@@ -80,13 +75,11 @@ def test_capital_matches_left_riemann_on_union_mesh(seed):
     x = _wiener(seed)
     seq = lebesgue_sequence(x, GridSpec(0.2, 0.0))
     rng = np.random.default_rng(seed)
-    strat = SimpleStrategy(1.5, seq, rng.uniform(-2, 2, size=len(seq)))
+    strat = StepProcess(seq, rng.uniform(-2, 2, size=len(seq)))
     cap = capital_process(strat, x)
     mesh = np.union1d(x.times, seq.times)
-    g = step_values_at(strat.as_step_process(), mesh[:-1])
-    riemann = 1.5 + np.concatenate(
-        ([0.0], np.cumsum(g * np.diff(evaluate_many(x, mesh))))
-    )
+    g = step_values_at(strat, mesh[:-1])
+    riemann = np.concatenate(([0.0], np.cumsum(g * np.diff(evaluate_many(x, mesh)))))
     assert np.allclose(evaluate_many(cap, mesh), riemann, atol=1e-10)
 
 
@@ -105,7 +98,7 @@ def test_witness_identity_gap_small(seed, d):
 
 def test_witness_positions_cut_at_threshold():
     strat = witness_strategy_qv(ZIGZAG3, UNIT, 0.75)
-    assert np.array_equal(strat.positions, np.zeros(4))
+    assert np.array_equal(strat.values, np.zeros(4))
     assert witness_identity_gap(ZIGZAG3, UNIT, 0.75) == 0.0
 
 
@@ -124,16 +117,6 @@ def test_bdg_witness_p2():
     strat = bdg_witness_strategy(ZIGZAG3, UNIT, 2.0, 2.0)
     cap = capital_process(strat, ZIGZAG3)
     assert np.allclose(evaluate_many(cap, UNIT.times), cert.gx, atol=1e-12)
-
-
-def test_bdg_witness_divergence_cutoff_needs_proxy():
-    with pytest.raises(ValueError):
-        bdg_witness_strategy(ZIGZAG3, UNIT, 1.0, 2.0, eps=0.5)
-    proxy = simple_qv(ZIGZAG3, UNIT)
-    cert = certify_path(ZIGZAG3, UNIT, 1.0)
-    strat = bdg_witness_strategy(ZIGZAG3, UNIT, 1.0, 2.0, eps=0.5, qv_proxy=proxy)
-    # proxy identical to the realized bracket: no divergence, no cutoff
-    assert np.array_equal(strat.positions, cert.h)
 
 
 def test_step_approximation_lattices():
@@ -169,7 +152,7 @@ def test_model_free_integral_line():
     assert len(res.curves) == 7
     expected = [2.0 ** -(m + 2) for m in range(6)]
     assert list(res.sup_distances) == pytest.approx(expected, abs=1e-15)
-    final = float(np.interp(1.0, res.final.times, res.final.values))
+    final = float(np.interp(1.0, res.curves[-1].times, res.curves[-1].values))
     assert final == pytest.approx(63.0 / 128.0, abs=1e-15)
     with pytest.raises(ValueError):
         model_free_integral(LINE01, ZIGZAG3, 2)
@@ -197,7 +180,7 @@ def test_localized_integral_consistency():
     res = localized_integral(LINE01, LINE01, [0.25, 0.5, 2.0], 3)
     assert list(res.sigmas) == pytest.approx([0.25, 0.5, 1.0], abs=1e-15)
     assert list(res.gaps) == [0.0, 0.0]
-    full = model_free_integral(LINE01, LINE01, 3).final
+    full = model_free_integral(LINE01, LINE01, 3).curves[-1]
     assert sup_distance(res.curve, full) == 0.0
     with pytest.raises(ValueError):
         localized_integral(LINE01, LINE01, [], 3)
@@ -211,20 +194,17 @@ def test_consistency_error_is_runtime_error():
 
 def test_empirical_dinf_fixed_curves():
     y = SampledPath(np.asarray([0.0, 1.0]), np.zeros(2))
-    rep = empirical_dinf(y, LINE01, [LINE01])
+    rep = empirical_dinf(lambda x: y, lambda x: x, [LINE01])
     assert rep.value == pytest.approx(1.0 - 2.0**-8, abs=1e-15)
     assert rep.std_error == 0.0
-    assert list(rep.per_level) == pytest.approx([1.0] * 8, abs=1e-15)
     assert rep.per_path.shape == (1,)
-    d = rep.to_json_dict()
-    assert d["n_paths"] == 1 and d["n_levels"] == 8
 
 
 def test_empirical_dqv_constant_gap():
     seq0 = StoppingSequence(np.zeros(1), np.zeros(1), 1.0)
     g = StepProcess(seq0, np.ones(1))
     h = StepProcess(seq0, np.zeros(1))
-    rep = empirical_dqv(g, h, [LINE01])
+    rep = empirical_dqv(lambda x: g, lambda x: h, [LINE01])
     assert rep.value == pytest.approx((1.0 - 2.0**-8) * 0.125, abs=1e-12)
 
 

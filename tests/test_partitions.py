@@ -1,4 +1,4 @@
-"""Level sequences: snapping, reversal dedup, covers, merge, shifted family."""
+"""Level sequences: snapping, reversal dedup, covers, merge."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from pwcalc import (
     generate,
     lebesgue_sequence,
     merge,
-    shifted_lebesgue_family,
-    truncate_sequence,
     verify_fine_cover,
 )
 
@@ -116,43 +114,6 @@ def test_merge_rejects_horizon_mismatch():
     b = lebesgue_sequence(short, GridSpec(0.4))
     with pytest.raises(ValueError):
         merge(a, b, ZIGZAG3)
-
-
-def test_shifted_family_sizes():
-    fam = shifted_lebesgue_family(ZIGZAG3, 2)
-    assert len(fam) == 2
-    assert len(fam[0]) == 13  # mesh 1/4, on-grid start: 4 hits per unit leg
-    assert len(fam[1]) == 11  # shifted start loses one hit per reversal
-    with pytest.raises(ValueError):
-        shifted_lebesgue_family(ZIGZAG3, 1)
-
-
-@given(seed=st.integers(0, 30), m=st.integers(2, 4))
-@settings(max_examples=20, deadline=None)
-def test_shifted_family_grids(seed, m):
-    x = _wiener(seed)
-    fam = shifted_lebesgue_family(x, m)
-    assert len(fam) == m
-    d = float(m) ** -2
-    for k, seq in enumerate(fam):
-        r = k * float(m) ** -3
-        if len(seq) > 1:
-            lev = np.round((seq.values[1:] - r) / d)
-            assert np.allclose(seq.values[1:], lev * d + r, atol=1e-12)
-
-
-def test_truncate_appends_the_cut():
-    seq = lebesgue_sequence(ZIGZAG3, GridSpec(0.4, 0.0))
-    cut = truncate_sequence(seq, 2.0, ZIGZAG3)
-    assert np.allclose(cut.times, [0.0, 0.4, 0.8, 1.6, 2.0], atol=1e-12)
-    assert cut.values[-1] == pytest.approx(0.0, abs=1e-12)
-    assert cut.horizon == seq.horizon
-    with pytest.raises(ValueError):
-        truncate_sequence(seq, 4.0, ZIGZAG3)
-    with pytest.raises(ValueError):
-        truncate_sequence(seq, -0.5, ZIGZAG3)
-    at_zero = truncate_sequence(seq, 0.0, ZIGZAG3)
-    assert np.array_equal(at_zero.times, [0.0])
 
 
 def test_resource_limit_guard():

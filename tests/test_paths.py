@@ -14,7 +14,6 @@ from pwcalc import (
     PathGeneratorConfig,
     ResourceLimitError,
     SampledPath,
-    divergence_time,
     evaluate,
     evaluate_many,
     generate,
@@ -80,15 +79,6 @@ def test_hitting_time_start_and_miss():
         hitting_time_abs(ZIGZAG3, 0.0)
     with pytest.raises(ValueError):
         hitting_time_abs(ZIGZAG3, 1.0, start=5.0)
-
-
-def test_divergence_time_exact():
-    a = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
-    b = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 0.5]))
-    assert divergence_time(a, b, 0.2) == pytest.approx(0.4, abs=1e-15)
-    assert divergence_time(a, a, 0.1) == INFINITE_TIME
-    with pytest.raises(ValueError):
-        divergence_time(a, b, 0.0)
 
 
 @given(

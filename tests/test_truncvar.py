@@ -9,23 +9,18 @@ from pwcalc import (
     GridSpec,
     PathGeneratorConfig,
     SampledPath,
-    averaged_shifted_qv,
     banach_indicatrix_integral,
-    crossing_count,
     crossing_profile,
     generate,
-    qv_from_ttv,
     sandwich_check,
     transition_count,
     ttv_dp_oracle,
     ttv_sweep,
 )
 from pwcalc import truncvar
-from pwcalc.truncvar import ttv_running
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 ZIGZAG4 = SampledPath(np.arange(5.0), np.asarray([0.0, 1.0, 0.0, 1.0, 0.0]))
-LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
 
 
 def _walk(vals):
@@ -45,14 +40,6 @@ def test_ttv_window_interpolates_endpoints():
     assert ttv_sweep(ZIGZAG3, 0.5, 0.5, 2.5) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         ttv_sweep(ZIGZAG3, 0.1, 2.0, 1.0)
-
-
-def test_running_ttv_matches_endpoint():
-    run = ttv_running(ZIGZAG3, 0.5)
-    assert run.shape == (4,)
-    assert run[0] == 0.0
-    assert np.all(np.diff(run) >= 0)
-    assert run[-1] == pytest.approx(ttv_sweep(ZIGZAG3, 0.5), abs=1e-12)
 
 
 @given(vals=st.lists(st.floats(-4, 4), min_size=2, max_size=50), c=st.floats(0, 3))
@@ -106,16 +93,6 @@ def test_batch_matches_per_path(seeds, cs):
         assert np.allclose(row, [ttv_sweep(x, c) for x in ens], atol=1e-12)
 
 
-def test_crossing_counts_zigzag():
-    assert crossing_count(ZIGZAG3, 0.5, 0.5) == 3
-    assert crossing_count(ZIGZAG3, 5.0, 0.5) == 0
-    # corridor edges are closed: touching the far edge completes a crossing
-    touch = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 0.75]))
-    assert crossing_count(touch, 0.5, 0.5) == 1
-    with pytest.raises(ValueError):
-        crossing_count(ZIGZAG3, 0.5, 0.0)
-
-
 def _crossing_count_loop(x, z, c):
     lo, hi = z - 0.5 * c, z + 0.5 * c
     state = 1 if x[0] >= hi else (-1 if x[0] <= lo else 0)
@@ -136,9 +113,15 @@ def _crossing_count_loop(x, z, c):
     c=st.floats(0.05, 2),
 )
 @example(vals=[1e16 + 4, 1e16, 1e16 - 4], z=1e16, c=1.0)  # band edges round together
+@example(vals=[0.0, 1.0, 0.0, 1.0], z=0.5, c=0.5)  # zigzag: three crossings
+@example(vals=[0.0, 1.0, 0.0, 1.0], z=5.0, c=0.5)  # band above the path: none
+# corridor edges are closed: touching the far edge completes a crossing
+@example(vals=[0.0, 0.75], z=0.5, c=0.5)
 @settings(max_examples=60)
 def test_crossing_count_matches_the_scalar_loop(vals, z, c):
-    assert crossing_count(_walk(vals), z, c) == _crossing_count_loop(np.asarray(vals), z, c)
+    x = np.asarray(vals)
+    count = truncvar._crossing_counts_multi(x, np.asarray([z]), c)[0]
+    assert count == _crossing_count_loop(x, z, c)
 
 
 def test_crossing_profile_integrates_to_ttv():
@@ -147,6 +130,8 @@ def test_crossing_profile_integrates_to_ttv():
     assert np.all(prof.counts >= 0)
     assert prof.integral() == pytest.approx(1.5, abs=1e-12)
     assert banach_indicatrix_integral(ZIGZAG3, 0.5) == pytest.approx(1.5, abs=1e-12)
+    with pytest.raises(ValueError):
+        crossing_profile(ZIGZAG3, 0.0)
 
 
 def test_transition_counts_quarter_grid():
@@ -198,34 +183,3 @@ def test_sandwich_threshold_stops_early():
 def test_sandwich_property_wiener(seed, m):
     x = generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=seed))
     assert sandwich_check(x, m).holds
-
-
-def test_averaged_shifted_qv_line():
-    curve = averaged_shifted_qv(LINE01, 2)
-    assert curve.seq_id == "avg-shifted:m=2"
-    assert float(np.interp(1.0, curve.times, curve.values)) == pytest.approx(
-        0.234375, abs=1e-15
-    )
-    # foreign stamps read the component curves linearly between their own stamps
-    assert float(np.interp(0.5, curve.times, curve.values)) == pytest.approx(
-        0.1171875, abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        averaged_shifted_qv(LINE01, 1)
-
-
-def test_averaged_shifted_qv_threshold_caps_stops():
-    curve = averaged_shifted_qv(LINE01, 2, threshold=0.5)
-    assert float(np.interp(0.5, curve.times, curve.values)) == pytest.approx(
-        0.109375, abs=1e-15
-    )
-
-
-def test_qv_from_ttv_line():
-    (curve,) = qv_from_ttv(LINE01, [0.25])
-    assert curve.seq_id == "ttv:c=0.25"
-    assert np.array_equal(curve.times, LINE01.times)
-    assert np.allclose(curve.values, [0.0, 0.1875], atol=1e-15)
-    with pytest.raises(ValueError):
-        qv_from_ttv(LINE01, [0.0])
-    assert qv_from_ttv(LINE01, []) == []

@@ -93,6 +93,20 @@ def test_batch_matches_per_path(seeds, cs):
         assert np.allclose(row, [ttv_sweep(x, c) for x in ens], atol=1e-12)
 
 
+def _crossing_counts(path, z, c):
+    return int(truncvar._crossing_counts_multi(path.values, np.asarray([z]), c)[0])
+
+
+def test_crossing_counts_zigzag():
+    assert _crossing_counts(ZIGZAG3, 0.5, 0.5) == 3
+    assert _crossing_counts(ZIGZAG3, 5.0, 0.5) == 0
+    # corridor edges are closed: touching the far edge completes a crossing
+    touch = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 0.75]))
+    assert _crossing_counts(touch, 0.5, 0.5) == 1
+    with pytest.raises(ValueError):
+        crossing_profile(ZIGZAG3, 0.0)
+
+
 def _crossing_count_loop(x, z, c):
     lo, hi = z - 0.5 * c, z + 0.5 * c
     state = 1 if x[0] >= hi else (-1 if x[0] <= lo else 0)
@@ -113,10 +127,6 @@ def _crossing_count_loop(x, z, c):
     c=st.floats(0.05, 2),
 )
 @example(vals=[1e16 + 4, 1e16, 1e16 - 4], z=1e16, c=1.0)  # band edges round together
-@example(vals=[0.0, 1.0, 0.0, 1.0], z=0.5, c=0.5)  # zigzag: three crossings
-@example(vals=[0.0, 1.0, 0.0, 1.0], z=5.0, c=0.5)  # band above the path: none
-# corridor edges are closed: touching the far edge completes a crossing
-@example(vals=[0.0, 0.75], z=0.5, c=0.5)
 @settings(max_examples=60)
 def test_crossing_count_matches_the_scalar_loop(vals, z, c):
     x = np.asarray(vals)
@@ -130,8 +140,6 @@ def test_crossing_profile_integrates_to_ttv():
     assert np.all(prof.counts >= 0)
     assert prof.integral() == pytest.approx(1.5, abs=1e-12)
     assert banach_indicatrix_integral(ZIGZAG3, 0.5) == pytest.approx(1.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        crossing_profile(ZIGZAG3, 0.0)
 
 
 def test_transition_counts_quarter_grid():

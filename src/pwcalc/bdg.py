@@ -21,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import StoppingSequence
-from .paths import REL_TOL, SampledPath
+from .paths import REL_TOL, SampledPath, _scratch
 
-# cells per block of the p > 1 weight kernel: its temporaries stay near 1 MB
-# whatever the sequence length
+# cells per block of the p > 1 weight kernel: its three scratch rows stay
+# near 1 MB each whatever the sequence length
 CELLS = 2**17
+# ufunc buffer size, in elements, while the p > 1 weight kernel runs
+_BUFSIZE = 16
 
 # running maxima below _TINY are rescaled by _TINY_SCALE for the p = 1 weights:
 # every scaled square is then a normal float
@@ -159,7 +161,12 @@ def _fg(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
 
     w[k, l] = max_{l<=m<=k} (x_m - x_{l-1})^2 is a running max down column l:
     rows go in blocks of CELLS // K, each carrying the column maxima on, and
-    a block touches only the columns l <= k of its rows.
+    a block touches only the columns l <= k of its rows. A block's numerator,
+    squares and denominator are written in place into three per-thread
+    scratch rows of max(CELLS, K) floats, and only the rows x rows triangle
+    l > k inside the block is masked. Each cell holds the same float as in
+    the masked form e = where(l <= k and den > 0, numer / den, 0), and each
+    block is one (rows, k1) matrix for the two products.
     """
     x, br = s.x, s.bracket
     n = x.size
@@ -169,20 +176,46 @@ def _fg(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
     rows = max(1, CELLS // n)
     f = np.empty(n)
     g = np.empty(n)
-    carry = None
-    for k0 in range(0, n, rows):
-        k1 = min(n, k0 + rows)
-        numer = x[k0:k1, None] - xm1[None, :k1]
-        mask = np.arange(k0, k1)[:, None] >= np.arange(k1)[None, :]
-        sq = np.where(mask, numer**2, -np.inf)
-        if carry is not None:
-            np.maximum(sq[0, :k0], carry, out=sq[0, :k0])
-        wmax = np.maximum.accumulate(sq, axis=0)
-        carry = wmax[-1].copy()
-        den = np.sqrt(br[k0:k1, None] - brm1[None, :k1] + wmax, where=mask, out=np.zeros_like(sq))
-        e = np.divide(numer, den, out=np.zeros_like(sq), where=(den > 0.0) & mask)
-        f[k0:k1] = e @ a[:k1]
-        g[k0:k1] = e @ b[:k1]
+    carry = np.empty(n)
+    numer_rows, sq_rows, den_rows = _scratch("bdg", max(CELLS, n), 3)
+    upper = np.triu(np.ones((min(rows, n),) * 2, dtype=bool), 1)  # l > k
+    # a ufunc copies both broadcast operands of an outer difference through
+    # its buffer when a row is shorter than the buffer; a buffer shorter
+    # than a row lets it run on the rows in place, several times faster
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        for k0 in range(0, n, rows):
+            k1 = min(n, k0 + rows)
+            r = k1 - k0
+            numer = numer_rows[: r * k1].reshape(r, k1)
+            sq = sq_rows[: r * k1].reshape(r, k1)
+            den = den_rows[: r * k1].reshape(r, k1)
+            tri = upper[:r, :r]
+            np.subtract(x[k0:k1, None], xm1[None, :k1], out=numer)
+            np.square(numer, out=sq)
+            # squares are >= +0.0, so a zero above the diagonal leaves every
+            # column max below it unchanged
+            np.copyto(sq[:, k0:k1], 0.0, where=tri)
+            if k0:
+                np.maximum(sq[0, :k0], carry[:k0], out=sq[0, :k0])
+            for above, row in zip(sq[:-1], sq[1:]):
+                np.maximum(row, above, out=row)
+            carry[:k1] = sq[-1]
+            np.subtract(br[k0:k1, None], brm1[None, :k1], out=den)
+            den += sq
+            np.copyto(den[:, k0:k1], 1.0, where=tri)
+            np.copyto(numer[:, k0:k1], 0.0, where=tri)
+            np.sqrt(den, out=den)
+            # den can underflow to 0 while numer does not: those weights are 0
+            if not den.min() > 0.0:
+                flat = ~(den > 0.0)
+                numer[flat] = 0.0
+                den[flat] = 1.0
+            np.divide(numer, den, out=numer)
+            f[k0:k1] = numer @ a[:k1]
+            g[k0:k1] = numer @ b[:k1]
+    finally:
+        np.setbufsize(bufsize)
     f *= p * p
     g *= p * p
     return f, g

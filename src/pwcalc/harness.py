@@ -131,6 +131,11 @@ class ExperimentConfig:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
         if any(c <= 0 for c in self.c_exponents):
             raise ValueError(f"c_exponents {self.c_exponents} must all be > 0")
+        if self.n_levels < 1:
+            raise ValueError(f"n_levels ({self.n_levels}) must be >= 1")
+        for name in ("qv_level", "est_level", "integrand_level"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} ({getattr(self, name)}) must be >= 0")
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -1,10 +1,11 @@
 """Certified maximal inequalities for discrete sequences and sampled paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pwcalc import (
@@ -18,7 +19,7 @@ from pwcalc import (
     lebesgue_sequence,
     qv_at,
 )
-from pwcalc import bdg
+from pwcalc import bdg, harness
 
 SQ2 = math.sqrt(2.0)
 
@@ -139,6 +140,50 @@ def _fg_dense(p, s):
     return (p * p) * (e @ a), (p * p) * (e @ b)
 
 
+def _fg_blocked(p, s):
+    """The blocked kernel with fresh full-width temporaries and masks per block:
+    the in-place kernel must give the same weights, byte for byte."""
+    x, br = s.x, s.bracket
+    n = x.size
+    xm1 = np.concatenate(([0.0], x[:-1]))  # x_{l-1}
+    brm1 = np.concatenate(([0.0], br[:-1]))  # [x]_{l-1}
+    a, b = bdg._shift_weights(p, s)
+    rows = max(1, bdg.CELLS // n)
+    f = np.empty(n)
+    g = np.empty(n)
+    carry = None
+    for k0 in range(0, n, rows):
+        k1 = min(n, k0 + rows)
+        numer = x[k0:k1, None] - xm1[None, :k1]
+        mask = np.arange(k0, k1)[:, None] >= np.arange(k1)[None, :]
+        sq = np.where(mask, numer**2, -np.inf)
+        if carry is not None:
+            np.maximum(sq[0, :k0], carry, out=sq[0, :k0])
+        wmax = np.maximum.accumulate(sq, axis=0)
+        carry = wmax[-1].copy()
+        den = np.sqrt(br[k0:k1, None] - brm1[None, :k1] + wmax, where=mask, out=np.zeros_like(sq))
+        e = np.divide(numer, den, out=np.zeros_like(sq), where=(den > 0.0) & mask)
+        f[k0:k1] = e @ a[:k1]
+        g[k0:k1] = e @ b[:k1]
+    f *= p * p
+    g *= p * p
+    return f, g
+
+
+def _assert_same_bytes(p, s, weights=None):
+    # tobytes, not array_equal: -0.0 and 0.0 are different weights here
+    f, g = bdg._fg(p, s) if weights is None else weights
+    fr, gr = _fg_blocked(p, s)
+    assert f.tobytes() == fr.tobytes() and g.tobytes() == gr.tobytes()
+
+
+def _level_walk(mesh):
+    """Level sequence of one wiener path, shifted to start at 0."""
+    x = generate(PathGeneratorConfig("wiener", step=2.0**-14, seed=4))
+    seq = lebesgue_sequence(x, GridSpec(mesh, 0.0))
+    return DiscreteSequence(seq.values - seq.values[0])
+
+
 @given(x=_walks, p=st.sampled_from([1.5, 2.0, 3.0]))
 @settings(max_examples=30, deadline=None)
 def test_dense_and_linear_constructions_agree(x, p):
@@ -164,6 +209,65 @@ def test_blocked_weights_match_the_dense_oracle(mesh, seed, monkeypatch):
         assert np.max(np.abs(cert.f - dense.f)) <= 1e-12 * np.max(np.abs(dense.f))
         assert np.max(np.abs(cert.g - dense.g)) <= 1e-12 * np.max(np.abs(dense.g))
         assert (cert.holds1, cert.holds2) == (dense.holds1, dense.holds2)
+
+
+@given(x=_walks, p=st.sampled_from([1.5, 2.0, 3.0]), cells=st.sampled_from([bdg.CELLS, 7, 64]))
+@example(x=np.asarray([6.42030527e-210]), p=1.5, cells=bdg.CELLS)  # den underflows, numer not
+@example(x=np.asarray([-0.0, 0.0, -0.0]), p=2.0, cells=bdg.CELLS)
+@example(x=np.asarray([0.0, 1.0, 1.0, 1.0, -2.0, -2.0, -2.0, 0.5, 0.5]), p=3.0, cells=7)
+@settings(max_examples=60, deadline=None)
+def test_weights_are_bitwise_the_blocked_kernels(x, p, cells):
+    # a small CELLS puts a short walk in many blocks, with a partial last one
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bdg, "CELLS", cells)
+        _assert_same_bytes(p, DiscreteSequence(x))
+
+
+@pytest.mark.parametrize("mesh", [0.04, 0.022, 0.016])  # K = 505, 1488, 2463
+def test_level_sequence_weights_are_bitwise_the_blocked_kernels(mesh):
+    s = _level_walk(mesh)
+    rows = bdg.CELLS // len(s)
+    assert len(s) > rows and len(s) % rows  # several blocks, the last partial
+    for p in (1.5, 2.0, 3.0):
+        _assert_same_bytes(p, s)
+
+
+def test_leftover_scratch_never_reaches_a_result():
+    # K = 2463, 708, 2463: the short call runs on rows the long one filled
+    calls = [(_level_walk(0.016), 2.0), (_level_walk(0.033), 3.0), (_level_walk(0.016), 2.0)]
+    results = [bdg._fg(p, s) for s, p in calls]
+    for (s, p), weights in zip(calls, results):
+        _assert_same_bytes(p, s, weights)
+    assert results[0][0].tobytes() == results[2][0].tobytes()
+
+
+def test_weights_do_not_depend_on_the_thread(monkeypatch):
+    # each worker thread has its own scratch rows
+    items = [(p, _level_walk(mesh)) for mesh in (0.016, 0.033, 0.04) for p in (1.5, 3.0)]
+    serial = [bdg._fg(p, s) for p, s in items]
+    monkeypatch.setenv("PWCALC_THREADS", "2")
+    threaded = harness.parallel_map(lambda item: bdg._fg(*item), items)
+    for (f, g), (ft, gt) in zip(serial, threaded):
+        assert f.tobytes() == ft.tobytes() and g.tobytes() == gt.tobytes()
+
+
+def test_certificate_p_memory_stays_bounded():
+    # blocks work in per-thread scratch rows: once those exist, a call at
+    # K ~ 2400 allocates its O(K) outputs and no per-block temporaries
+    w = _level_walk(0.0165).x  # K = 2386
+    certificate_p(w, 2.0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        certificate_p(w, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(seed=st.integers(0, 30))

@@ -305,10 +305,16 @@ def test_empty_m_range_is_rejected(tmp_path):
         ("c_exponents", {"c_exponents": (-3,)}),
         ("m_lo", {"m_lo": -2000, "m_hi": -1999}),
         ("m_lo", {"m_lo": -1}),
+        ("n_levels", {"n_levels": 0}),
+        ("n_levels", {"n_levels": -1}),
+        ("qv_level", {"qv_level": -3}),
+        ("est_level", {"est_level": -2000}),
+        ("integrand_level", {"integrand_level": -1}),
     ],
 )
 def test_config_out_of_range_is_named(tmp_path, field, bad):
-    # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows
+    # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows;
+    # no localisation level makes every distance 0
     experiment = "ttv-converge" if field == "c_exponents" else "qv-converge"
     with pytest.raises(ValueError, match=field):
         _tiny(experiment, **bad)

@@ -129,8 +129,10 @@ class ExperimentConfig:
             raise ValueError(f"m_lo ({self.m_lo}) must be >= 0")
         if self.m_lo > self.m_hi:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
-        if any(c <= 0 for c in self.c_exponents):
+        if not all(c > 0 for c in self.c_exponents):
             raise ValueError(f"c_exponents {self.c_exponents} must all be > 0")
+        if self.threshold is not None and not self.threshold > 0:
+            raise ValueError(f"threshold ({self.threshold}) must be None or > 0")
         if self.n_levels < 1:
             raise ValueError(f"n_levels ({self.n_levels}) must be >= 1")
         for name in ("qv_level", "est_level", "integrand_level"):
@@ -438,7 +440,7 @@ def _exp_sandwich(cfg: ExperimentConfig):
     ms = list(range(cfg.m_lo, cfg.m_hi + 1))
 
     def reports(x):
-        return [truncvar.sandwich_check(x, m, cfg.threshold) for m in ms]
+        return truncvar.sandwich_check(x, ms, cfg.threshold)
 
     fixtures = [
         ("zigzag-1", generate(PathGeneratorConfig("zigzag", horizon=3.0, step=1.0, seed=0))),

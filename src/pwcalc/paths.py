@@ -113,7 +113,7 @@ def hitting_time_abs(path: SampledPath, threshold: float, start: float = 0.0) ->
     The crossing instant is solved exactly on the segment where the level
     threshold (or -threshold) is first reached.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     _check_domain(path, start)
     v0 = evaluate(path, start)

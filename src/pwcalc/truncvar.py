@@ -50,7 +50,7 @@ def _window_values(path: SampledPath, a: float, b: float) -> np.ndarray:
 
 def ttv_dp_oracle(path: SampledPath, c: float, a: float = 0.0, b: float | None = None) -> float:
     """Quadratic-time reference maximization, straight from the definition."""
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("threshold c must be nonnegative")
     x = _window_values(path, a, path.horizon if b is None else b)
     n = x.size
@@ -62,19 +62,24 @@ def ttv_dp_oracle(path: SampledPath, c: float, a: float = 0.0, b: float | None =
 
 def _sweep_from_values(x: np.ndarray, c: float) -> float:
     """Final ttv(c) of the values."""
-    x = x.tolist()  # on one row, a loop over floats beats numpy about tenfold
+    it = iter(x.tolist())  # on one row, a loop over floats beats numpy about tenfold
+    x0 = next(it)
     best = 0.0
-    m_minus = -x[0]
-    m_plus = x[0]
-    for i in range(1, len(x)):
-        xi = x[i]
-        vi = max(best, m_minus + xi - c, m_plus - xi - c)
-        if vi > best:
-            best = vi
-        if vi - xi > m_minus:
-            m_minus = vi - xi
-        if vi + xi > m_plus:
-            m_plus = vi + xi
+    m_minus = -x0
+    m_plus = x0
+    for xi in it:
+        # v_i = max(best, m_minus + x_i - c, m_plus - x_i - c) >= best, so it
+        # is the new best
+        v = m_minus + xi - c
+        if v > best:
+            best = v
+        v = m_plus - xi - c
+        if v > best:
+            best = v
+        if best - xi > m_minus:
+            m_minus = best - xi
+        if best + xi > m_plus:
+            m_plus = best + xi
     return best
 
 
@@ -85,32 +90,53 @@ def ttv_sweep(path: SampledPath, c: float, a: float = 0.0, b: float | None = Non
     which is enough because each new partition leg contributes
     max(x_i - x_j - c, x_j - x_i - c, 0).
     """
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("threshold c must be nonnegative")
     x = _window_values(path, a, path.horizon if b is None else b)
     return _sweep_from_values(x, c)
+
+
+# columns of values staged at a time as signed pairs (x_i, -x_i)
+COLUMN_CHUNK = 128
 
 
 def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
     """Final ttv(c) for each row of a matrix of window values.
 
     c is one threshold or a vector of them, giving one row of results per
-    threshold: the state is (thresholds, rows), and each column of values is
-    broadcast against it rather than copied per threshold.
+    threshold. The state stacks (m_minus, m_plus) as (2, thresholds, rows),
+    and each signed column (x_i, -x_i) is broadcast against it rather than
+    copied per threshold: m_plus - x_i is m_plus + (-x_i) and v_i + x_i is
+    v_i - (-x_i) exactly, so one add and one subtract serve both halves.
+    The signed columns are staged COLUMN_CHUNK at a time, never the matrix.
     """
     x = np.asarray(values, dtype=np.float64)
     cs = np.asarray(c, dtype=np.float64)
+    if not np.all(cs >= 0.0):
+        raise ValueError("threshold c must be nonnegative")
     col = cs.reshape(-1, 1)
-    best = np.zeros((col.size, x.shape[0]))
-    m_minus = np.tile(-x[:, 0], (col.size, 1))
-    m_plus = np.tile(x[:, 0], (col.size, 1))
-    for i in range(1, x.shape[1]):
-        xi = x[:, i]
-        vi = np.maximum(best, np.maximum(m_minus + xi, m_plus - xi) - col)
-        np.maximum(best, vi, out=best)
-        np.maximum(m_minus, vi - xi, out=m_minus)
-        np.maximum(m_plus, vi + xi, out=m_plus)
-    return best.reshape(cs.shape + x.shape[:1])
+    rows, n = x.shape
+    state = np.empty((2, col.size, rows))
+    np.negative(x[:, 0], out=state[0])
+    state[1] = x[:, 0]
+    best = np.zeros((col.size, rows))
+    pair = np.empty_like(state)
+    lo, hi = pair
+    vi = np.empty_like(best)
+    signed = np.empty((COLUMN_CHUNK, 2, 1, rows))
+    for j in range(1, n, COLUMN_CHUNK):
+        block = x[:, j : j + COLUMN_CHUNK].T
+        k = block.shape[0]
+        signed[:k, 0, 0] = block
+        np.negative(block, out=signed[:k, 1, 0])
+        for sx in signed[:k]:
+            np.add(state, sx, out=pair)
+            np.maximum(lo, hi, out=vi)
+            np.subtract(vi, col, out=vi)
+            np.maximum(best, vi, out=best)
+            np.subtract(best, sx, out=pair)
+            np.maximum(state, pair, out=state)
+    return best.reshape(cs.shape + (rows,))
 
 
 def _crossing_counts_multi(x: np.ndarray, centers: np.ndarray, c: float) -> np.ndarray:
@@ -149,7 +175,7 @@ def crossing_profile(
     breakpoints are {x_i - c/2, x_i + c/2}; each gap is scored at its
     midpoint.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("band width c must be positive")
     x = _window_values(path, a, path.horizon if b is None else b)
     edges = np.unique(np.concatenate((x - 0.5 * c, x + 0.5 * c)))
@@ -174,6 +200,8 @@ def transition_count(path: SampledPath, grid: GridSpec, t: float | None = None) 
     move in progress at t never counts. This is the count whose mesh^2
     multiple matches cell crossing sums exactly.
     """
+    if t is not None and np.isnan(t):
+        raise ValueError("t must not be NaN")
     ts, _, _, on_grid = _grid_hits(path, grid.mesh, grid.offset)
     upto = path.horizon if t is None else t
     h = int(np.searchsorted(ts, upto, side="right"))
@@ -208,26 +236,39 @@ def _shifted_transition_sum(path: SampledPath, n: int, t: float) -> float:
 
 
 def sandwich_check(
-    path: SampledPath, m: int, threshold: float | None = None, t: float | None = None
-) -> SandwichReport:
-    """Bracket ttv(m^-2) between the two neighboring shifted-family sums."""
-    if m < 3:
+    path: SampledPath, ms, threshold: float | None = None, t: float | None = None
+) -> list[SandwichReport]:
+    """Bracket ttv(m^-2) between the two neighboring shifted-family sums.
+
+    Returns one report per m of ms, in order. The stopped time t_eff does not
+    depend on m, and the family n serves both m = n + 1 and m = n - 1, so
+    each distinct family is summed once.
+    """
+    ms = list(ms)
+    if any(m < 3 for m in ms):
         raise ValueError("sandwich needs m >= 3")
     big = threshold if threshold is not None else 1.0 + float(np.max(np.abs(path.values)))
     sigma = hitting_time_abs(path, big)
     t_eff = min(path.horizon if t is None else t, sigma, path.horizon)
-    c = float(m) ** -2
-    middle = ttv_sweep(path, c, 0.0, t_eff)
-    lower = (m - 1) * _shifted_transition_sum(path, m - 1, t_eff)
-    upper = (m + 1) * _shifted_transition_sum(path, m + 1, t_eff)
-    tol = REL_TOL * (1.0 + abs(middle))
-    return SandwichReport(
-        m=m,
-        threshold=big,
-        t_eff=t_eff,
-        lower=lower,
-        middle=middle,
-        upper=upper,
-        holds_lower=bool(lower <= middle + tol),
-        holds_upper=bool(middle <= upper + tol),
-    )
+    family = {
+        n: n * _shifted_transition_sum(path, n, t_eff)
+        for n in {m + side for m in ms for side in (-1, 1)}
+    }
+    reports = []
+    for m in ms:
+        middle = ttv_sweep(path, float(m) ** -2, 0.0, t_eff)
+        lower, upper = family[m - 1], family[m + 1]
+        tol = REL_TOL * (1.0 + abs(middle))
+        reports.append(
+            SandwichReport(
+                m=m,
+                threshold=big,
+                t_eff=t_eff,
+                lower=lower,
+                middle=middle,
+                upper=upper,
+                holds_lower=bool(lower <= middle + tol),
+                holds_upper=bool(middle <= upper + tol),
+            )
+        )
+    return reports

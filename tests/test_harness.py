@@ -310,12 +310,17 @@ def test_empty_m_range_is_rejected(tmp_path):
         ("qv_level", {"qv_level": -3}),
         ("est_level", {"est_level": -2000}),
         ("integrand_level", {"integrand_level": -1}),
+        ("c_exponents", {"c_exponents": (4, float("nan"))}),
+        ("threshold", {"threshold": -1.0}),
+        ("threshold", {"threshold": 0.0}),
+        ("threshold", {"threshold": float("nan")}),
     ],
 )
 def test_config_out_of_range_is_named(tmp_path, field, bad):
     # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows;
-    # no localisation level makes every distance 0
-    experiment = "ttv-converge" if field == "c_exponents" else "qv-converge"
+    # no localisation level makes every distance 0; a NaN compares false
+    # with every bound, so a sandwich stopped at it would never stop
+    experiment = {"c_exponents": "ttv-converge", "threshold": "sandwich"}.get(field, "qv-converge")
     with pytest.raises(ValueError, match=field):
         _tiny(experiment, **bad)
     doc = _tiny(experiment).to_json_dict()

@@ -1,9 +1,14 @@
 """Truncated variation, crossing counts, transition sums, sandwich bounds."""
 
+import dataclasses
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pwcalc import (
     GridSpec,
@@ -17,7 +22,8 @@ from pwcalc import (
     ttv_dp_oracle,
     ttv_sweep,
 )
-from pwcalc import truncvar
+from pwcalc import paths, truncvar
+from pwcalc.paths import REL_TOL
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 ZIGZAG4 = SampledPath(np.arange(5.0), np.asarray([0.0, 1.0, 0.0, 1.0, 0.0]))
@@ -89,8 +95,123 @@ def test_batch_matches_per_path(seeds, cs):
     batch = truncvar._ttv_batch(mat, cs)
     assert batch.shape == (len(cs), len(ens))
     for c, row in zip(cs, batch):
-        assert np.array_equal(row, truncvar._ttv_batch(mat, c))
-        assert np.allclose(row, [ttv_sweep(x, c) for x in ens], atol=1e-12)
+        assert row.tobytes() == truncvar._ttv_batch(mat, c).tobytes()
+        assert row.tobytes() == np.asarray([ttv_sweep(x, c) for x in ens]).tobytes()
+
+
+# The recurrences and the per-m sandwich as they were before the batched
+# state was stacked and the shifted families were shared; the kernels must
+# stay bitwise equal to them.
+
+
+def _sweep_reference(x: np.ndarray, c: float) -> float:
+    x = x.tolist()
+    best = 0.0
+    m_minus = -x[0]
+    m_plus = x[0]
+    for i in range(1, len(x)):
+        xi = x[i]
+        vi = max(best, m_minus + xi - c, m_plus - xi - c)
+        if vi > best:
+            best = vi
+        if vi - xi > m_minus:
+            m_minus = vi - xi
+        if vi + xi > m_plus:
+            m_plus = vi + xi
+    return best
+
+
+def _ttv_batch_reference(values: np.ndarray, c) -> np.ndarray:
+    x = np.asarray(values, dtype=np.float64)
+    cs = np.asarray(c, dtype=np.float64)
+    col = cs.reshape(-1, 1)
+    best = np.zeros((col.size, x.shape[0]))
+    m_minus = np.tile(-x[:, 0], (col.size, 1))
+    m_plus = np.tile(x[:, 0], (col.size, 1))
+    for i in range(1, x.shape[1]):
+        xi = x[:, i]
+        vi = np.maximum(best, np.maximum(m_minus + xi, m_plus - xi) - col)
+        np.maximum(best, vi, out=best)
+        np.maximum(m_minus, vi - xi, out=m_minus)
+        np.maximum(m_plus, vi + xi, out=m_plus)
+    return best.reshape(cs.shape + x.shape[:1])
+
+
+def _sandwich_reference(path, m, threshold=None, t=None):
+    if m < 3:
+        raise ValueError("sandwich needs m >= 3")
+    big = threshold if threshold is not None else 1.0 + float(np.max(np.abs(path.values)))
+    sigma = paths.hitting_time_abs(path, big)
+    t_eff = min(path.horizon if t is None else t, sigma, path.horizon)
+    c = float(m) ** -2
+    middle = ttv_sweep(path, c, 0.0, t_eff)
+    lower = (m - 1) * truncvar._shifted_transition_sum(path, m - 1, t_eff)
+    upper = (m + 1) * truncvar._shifted_transition_sum(path, m + 1, t_eff)
+    tol = REL_TOL * (1.0 + abs(middle))
+    return truncvar.SandwichReport(
+        m=m,
+        threshold=big,
+        t_eff=t_eff,
+        lower=lower,
+        middle=middle,
+        upper=upper,
+        holds_lower=bool(lower <= middle + tol),
+        holds_upper=bool(middle <= upper + tol),
+    )
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("d", v)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300])
+_CHUNK = truncvar.COLUMN_CHUNK
+
+
+@st.composite
+def _value_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    # one column; a few; more than one chunk of columns with a partial last one
+    cols = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(_CHUNK + 2, 2 * _CHUNK + 40)))
+    elements = st.one_of(_EDGES, st.floats(-4, 4))
+    steps = draw(arrays(np.float64, (rows, cols), elements=elements, fill=_EDGES))
+    # a cumulative sum of steps from the edge values has flat runs
+    return np.cumsum(steps, axis=1) if draw(st.booleans()) else steps
+
+
+@given(
+    values=_value_matrices(),
+    cs=st.lists(st.one_of(st.just(0.0), _EDGES.map(abs), st.floats(0, 3)), min_size=1, max_size=3),
+    scalar=st.booleans(),
+)
+@example(values=np.zeros((1, 2 * _CHUNK + 38)), cs=[0.0], scalar=True)
+@example(values=np.asarray([[-0.0, 0.0]]), cs=[0.0], scalar=False)
+@settings(max_examples=80, deadline=None)
+def test_kernels_are_bitwise_the_reference_recurrences(values, cs, scalar):
+    c = cs[0] if scalar else cs
+    batch = truncvar._ttv_batch(values, c)
+    assert batch.tobytes() == _ttv_batch_reference(values, c).tobytes()
+    for ci, out in zip(np.atleast_1d(c), batch.reshape(-1, values.shape[0])):
+        for row, got in zip(values, out):
+            sweep = truncvar._sweep_from_values(row, float(ci))
+            assert _bits(sweep) == _bits(_sweep_reference(row, float(ci)))
+            # np.maximum returns its second operand on a tie and the scalar
+            # keeps best, so a zero result may carry either sign in the batch
+            assert _bits(sweep) == _bits(float(got)) or sweep == got == 0.0
+
+
+def test_ttv_batch_memory_stays_bounded():
+    values = np.cumsum(np.random.default_rng(3).standard_normal((64, 8193)), axis=1)
+    cs = [float(m) ** -2 for m in range(4, 13)]
+    truncvar._ttv_batch(values, cs)
+    tracemalloc.start()
+    try:
+        truncvar._ttv_batch(values, cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # signed columns are staged a chunk at a time: no whole-matrix copy
+    assert peak < values.nbytes / 8
 
 
 def _crossing_counts(path, z, c):
@@ -161,23 +282,23 @@ def test_shifted_transition_sums():
 
 
 def test_sandwich_zigzag_exact_values():
-    rep = sandwich_check(ZIGZAG3, 3)
+    (rep,) = sandwich_check(ZIGZAG3, [3])
     assert rep.holds and rep.holds_lower and rep.holds_upper
     assert rep.m == 3 and rep.t_eff == 3.0
     assert rep.lower == pytest.approx(2.625, abs=1e-12)
     assert rep.middle == pytest.approx(3.0 * (1.0 - 1.0 / 9.0), abs=1e-12)
     assert rep.upper == pytest.approx(2.859375, abs=1e-12)
-    rep4 = sandwich_check(ZIGZAG4, 3)
+    rep4 = sandwich_check(ZIGZAG4, [3])[0]
     assert rep4.lower == pytest.approx(3.5, abs=1e-12)
     assert rep4.middle == pytest.approx(4.0 * (1.0 - 1.0 / 9.0), abs=1e-12)
     assert rep4.upper == pytest.approx(3.8125, abs=1e-12)
     assert rep4.holds
     with pytest.raises(ValueError):
-        sandwich_check(ZIGZAG3, 2)
+        sandwich_check(ZIGZAG3, [2])
 
 
 def test_sandwich_threshold_stops_early():
-    rep = sandwich_check(ZIGZAG3, 3, threshold=0.5)
+    rep = sandwich_check(ZIGZAG3, [3], threshold=0.5)[0]
     assert rep.t_eff == 0.5
     assert rep.threshold == 0.5
     assert rep.lower == pytest.approx(0.375, abs=1e-12)
@@ -190,4 +311,51 @@ def test_sandwich_threshold_stops_early():
 @settings(max_examples=30, deadline=None)
 def test_sandwich_property_wiener(seed, m):
     x = generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=seed))
-    assert sandwich_check(x, m).holds
+    assert sandwich_check(x, [m])[0].holds
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"threshold": 0.5}, {"t": 0.6}, {"threshold": 0.7, "t": 0.4}]
+)
+def test_sandwich_sums_each_family_once(monkeypatch, kw):
+    x = generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=12))
+    refs = [_sandwich_reference(x, m, **kw) for m in range(3, 9)]
+    calls = {"transition_count": 0, "hitting_time_abs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(truncvar, "transition_count", counted("transition_count", transition_count))
+    monkeypatch.setattr(
+        truncvar, "hitting_time_abs", counted("hitting_time_abs", paths.hitting_time_abs)
+    )
+    reps = sandwich_check(x, range(3, 9), **kw)
+    # families n = 2..9, summed over n offsets each; per m it took 66
+    assert calls == {"transition_count": 44, "hitting_time_abs": 1}
+    assert [rep.m for rep in reps] == list(range(3, 9))
+    for rep, ref in zip(reps, refs):
+        for field in dataclasses.fields(ref):
+            got, want = getattr(rep, field.name), getattr(ref, field.name)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(want) if isinstance(want, float) else got == want
+
+
+def test_nan_edges_fail_fast():
+    nan = float("nan")
+    for fn in (ttv_sweep, ttv_dp_oracle, banach_indicatrix_integral, crossing_profile):
+        with pytest.raises(ValueError, match="c must be"):
+            fn(ZIGZAG3, nan)
+    with pytest.raises(ValueError, match="c must be"):
+        truncvar._ttv_batch(ZIGZAG3.values[None, :], [0.5, nan])
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        paths.hitting_time_abs(ZIGZAG3, nan)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        sandwich_check(ZIGZAG3, [3], threshold=nan)
+    with pytest.raises(ValueError, match="t must not be NaN"):
+        transition_count(ZIGZAG3, GridSpec(0.25, 0.0), t=nan)
+    with pytest.raises(ValueError, match="t must not be NaN"):
+        sandwich_check(ZIGZAG3, [3], t=nan)

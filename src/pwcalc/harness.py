@@ -587,8 +587,9 @@ def _exp_integral_converge(cfg: ExperimentConfig):
 
 def _product_step(g: integration.StepProcess, h: integration.StepProcess):
     """Step process on merged stops with values G*H (left limits)."""
-    times = np.union1d(g.seq.times, h.seq.times)
-    vals = integration.step_values_at(g, times) * integration.step_values_at(h, times)
+    times, ig = partitions._merge_stops(h.seq.times, g.seq.times)
+    _, ih = partitions._merge_stops(g.seq.times, h.seq.times)
+    vals = g.values[ig] * h.values[ih]
     seq = StoppingSequence(times, vals, g.seq.horizon)
     return integration.StepProcess(seq, vals)
 

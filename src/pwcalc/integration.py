@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdg import certify_path
-from .partitions import StoppingSequence, _grid_hits
+from .partitions import StoppingSequence, _level_sequence, _merge_stops
 from .paths import REL_TOL, SampledPath, _interp, evaluate_many, hitting_time_abs
-from .quadvar import qv_at, qv_estimate_dyadic, sup_distance
+from .quadvar import _sup_gaps, qv_at, qv_estimate_dyadic, sup_distance
 
 _MAX_VARIATION = 1e12
 
@@ -75,8 +75,7 @@ def capital_process(g: StepProcess, x: SampledPath) -> SampledPath:
     pos = g.values
     wx = evaluate_many(x, tau)
     cum = np.concatenate(([0.0], np.cumsum(pos[:-1] * np.diff(wx))))
-    stamps = np.union1d(x.times, tau)
-    idx = np.searchsorted(tau, stamps, side="right") - 1
+    stamps, idx = _merge_stops(x.times, tau)
     vals = cum[idx] + pos[idx] * (evaluate_many(x, stamps) - wx[idx])
     return SampledPath(stamps, vals)
 
@@ -137,11 +136,8 @@ def step_approximation(f: SampledPath, m: int) -> StepProcess:
     r = f0 - q * math.floor(f0 / q)
     if not 0.0 <= r < q:
         r = 0.0
-    ts, lev, _, _ = _grid_hits(f, q, r)
-    times = np.concatenate(([0.0], ts))
-    values = np.concatenate(([f0], lev * q + r))
-    seq = StoppingSequence(times, values, f.horizon, label=f"step:m={m}")
-    return StepProcess(seq, values)
+    seq = _level_sequence(f, q, r, f"step:m={m}")
+    return StepProcess(seq, seq.values)
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,13 @@ def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFree
     return ModelFreeResult(curves=curves, sup_distances=gaps)
 
 
-def _integrand_values_at(g, ts: np.ndarray) -> np.ndarray:
+def _left_values(g, mesh: np.ndarray) -> np.ndarray:
+    """g at the left ends mesh[:-1] of a sorted mesh holding every stop of g
+    before mesh[-1]."""
     if isinstance(g, StepProcess):
-        return step_values_at(g, ts)
+        return g.values[_merge_stops(mesh, g.seq.times)[1][: mesh.size - 1]]
     if isinstance(g, SampledPath):
-        return evaluate_many(g, ts)
+        return evaluate_many(g, mesh[:-1])
     raise TypeError("integrand must be a StepProcess or SampledPath")
 
 
@@ -192,7 +190,7 @@ def stieltjes_integral(g, v: SampledPath, t: float | None = None) -> float:
     mesh = mesh[mesh <= upto]
     if mesh.size == 0 or mesh[-1] != upto:
         mesh = np.append(mesh, upto)
-    gv = _integrand_values_at(g, mesh[:-1])
+    gv = _left_values(g, mesh)
     dv = np.diff(evaluate_many(v, mesh))
     return float(np.sum(gv * dv))
 
@@ -225,15 +223,11 @@ def localized_integral(
     levels = sorted(float(n) for n in n_schedule)
     if not levels or levels[0] <= 0.0:
         raise ValueError("localization levels must be positive")
-    curves = []
-    sigmas = []
-    for n in levels:
-        sigma = min(hitting_time_abs(f, n), f.horizon)
-        sigmas.append(sigma)
-        curves.append(capital_process(step_approximation(_stopped_path(f, sigma), m_max), x))
+    sigmas = [min(hitting_time_abs(f, n), f.horizon) for n in levels]
+    curves = [capital_process(step_approximation(_stopped_path(f, s), m_max), x) for s in sigmas]
     gaps = []
     for i in range(len(curves) - 1):
-        gap = _sup_gap_upto(curves[i], curves[i + 1], sigmas[i])
+        gap = float(_sup_gaps(curves[i], curves[i + 1], [sigmas[i]])[0])
         gaps.append(gap)
         scale = 1.0 + float(np.max(np.abs(curves[i].values)))
         if gap > REL_TOL * scale:
@@ -242,14 +236,6 @@ def localized_integral(
                 f"differ by {gap:.3g} on the common window"
             )
     return LocalizedResult(curve=curves[-1], levels=levels, sigmas=sigmas, gaps=gaps)
-
-
-def _sup_gap_upto(a: SampledPath, b: SampledPath, t_hi: float) -> float:
-    stamps = np.union1d(a.times, b.times)
-    stamps = stamps[stamps <= t_hi]
-    if stamps.size == 0 or stamps[-1] != t_hi:
-        stamps = np.append(stamps, t_hi)
-    return float(np.max(np.abs(evaluate_many(a, stamps) - evaluate_many(b, stamps))))
 
 
 @dataclass(frozen=True)
@@ -273,6 +259,13 @@ def _mean_report(per_path: np.ndarray, reference_mean=None) -> EmpiricalDistance
     )
 
 
+def _localization_times(x: SampledPath, n_levels: int) -> list:
+    """T_N = sigma(x, N) ^ horizon for N = 1..n_levels, non-decreasing in N."""
+    if n_levels < 1:
+        raise ValueError("n_levels must be at least 1")
+    return [min(hitting_time_abs(x, float(n)), x.horizon) for n in range(1, n_levels + 1)]
+
+
 def empirical_dqv(
     g, h, paths, n_levels: int = 8, qv_level: int = 6
 ) -> EmpiricalDistanceReport:
@@ -282,31 +275,27 @@ def empirical_dqv(
     path-dependent). The integrator is the finest dyadic qv estimate at
     qv_level.
     """
+    if qv_level < 0:
+        raise ValueError("qv_level must be nonnegative")
     paths = list(paths)
     if not paths:
         raise ValueError("need at least one path")
     per_path = np.zeros(len(paths))
     q_end = np.zeros(len(paths))
     for i, x in enumerate(paths):
-        gi = g(x)
-        hi = h(x)
+        t_levels = _localization_times(x, n_levels)
+        gi, hi = g(x), h(x)
         q = qv_estimate_dyadic(x, qv_level)[-1]
         q_end[i] = q.values[-1]
-        mesh = np.union1d(
-            np.union1d(q.times, _integrand_times(gi)), _integrand_times(hi)
-        )
-        gap = _integrand_values_at(gi, mesh[:-1]) - _integrand_values_at(hi, mesh[:-1])
+        mesh = np.union1d(np.union1d(q.times, _integrand_times(gi)), _integrand_times(hi))
+        gap = _left_values(gi, mesh) - _left_values(hi, mesh)
         qvals = evaluate_many(q, mesh)
         cum = np.concatenate(([0.0], np.cumsum(gap * gap * np.diff(qvals))))
         contrib = 0.0
-        for n in range(1, n_levels + 1):
-            t_n = min(hitting_time_abs(x, float(n)), x.horizon)
+        for n, t_n in enumerate(t_levels, start=1):
             j = int(np.searchsorted(mesh, t_n, side="right")) - 1
-            part = gap[j] ** 2 * (
-                float(_interp(t_n, q)) - qvals[j]
-            ) if j < gap.size else 0.0
-            integral = max(cum[j] + part, 0.0)
-            contrib += 2.0**-n * math.sqrt(integral)
+            part = gap[j] ** 2 * (float(_interp(t_n, q)) - qvals[j]) if j < gap.size else 0.0
+            contrib += 2.0**-n * math.sqrt(max(cum[j] + part, 0.0))
         per_path[i] = contrib
     return _mean_report(per_path, float(np.mean(q_end)))
 
@@ -322,19 +311,6 @@ def empirical_dinf(y, z, x_paths, n_levels: int = 8) -> EmpiricalDistanceReport:
         raise ValueError("need at least one path")
     per_path = np.zeros(len(x_paths))
     for i, x in enumerate(x_paths):
-        yi = y(x)
-        zi = z(x)
-        stamps = np.union1d(yi.times, zi.times)
-        gap = np.abs(evaluate_many(yi, stamps) - evaluate_many(zi, stamps))
-        running = np.maximum.accumulate(gap)
-        contrib = 0.0
-        for n in range(1, n_levels + 1):
-            t_n = min(hitting_time_abs(x, float(n)), x.horizon)
-            j = int(np.searchsorted(stamps, t_n, side="right")) - 1
-            at_t = abs(
-                float(_interp(t_n, yi))
-                - float(_interp(t_n, zi))
-            )
-            contrib += 2.0**-n * max(float(running[j]), at_t)
-        per_path[i] = contrib
+        sups = _sup_gaps(y(x), z(x), _localization_times(x, n_levels))
+        per_path[i] = sum(2.0**-n * s for n, s in enumerate(sups.tolist(), start=1))
     return _mean_report(per_path)

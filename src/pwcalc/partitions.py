@@ -76,6 +76,23 @@ class StoppingSequence:
         return int(self.times.size)
 
 
+def _merge_stops(times: np.ndarray, stops: np.ndarray):
+    """np.union1d(times, stops) and, at each of its values, the index of the
+    last stop at or before it, for sorted times and non-decreasing stops,
+    from one stable merge of the two runs (a stable sort merges presorted
+    runs in linear time, where searchsorted would search for every value)."""
+    both = np.concatenate((stops, times))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    # stops come first among equal values, so the last of them closes a value
+    last = np.empty(merged.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    idx = np.cumsum(order < stops.size)
+    idx -= 1
+    return merged[last], idx[last]
+
+
 def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
     """All successive different-level grid hits of the path, in time order.
 
@@ -190,13 +207,18 @@ def lebesgue_sequence(
 ) -> StoppingSequence:
     """Level sequence of the path on the grid, stop values snapped to it."""
     d, r = grid.mesh, grid.offset
+    return _level_sequence(path, d, r, f"leb:d={d:.17g},r={r:.17g}", max_hits)
+
+
+def _level_sequence(path: SampledPath, d: float, r: float, label: str, max_hits=MAX_GRID_HITS):
+    """Stops at 0 and at each grid hit of the path on d*Z + r, values snapped."""
     ts, lev, _, _ = _grid_hits(path, d, r, max_hits)
     times = np.concatenate(([0.0], ts))
     values = np.empty(times.size)
     values[0] = path.values[0]
     np.multiply(lev, d, out=values[1:])
     values[1:] += r
-    return StoppingSequence(times, values, path.horizon, label=f"leb:d={d:.17g},r={r:.17g}")
+    return StoppingSequence(times, values, path.horizon, label=label)
 
 
 @dataclass(frozen=True)
@@ -219,16 +241,12 @@ def verify_fine_cover(path: SampledPath, seq: StoppingSequence, delta: float) ->
     stamps = np.union1d(path.times, bounds)
     vals = evaluate_many(path, stamps)
     idx = np.searchsorted(stamps, bounds, side="left")
-    worst = -1.0
-    witness = (0.0, 0.0)
-    for n in range(len(bounds) - 1):
-        lo, hi = idx[n], idx[n + 1]
-        seg = vals[lo : hi + 1]
-        osc = float(seg.max() - seg.min()) if seg.size else 0.0
-        if osc > worst:
-            worst = osc
-            witness = (float(bounds[n]), float(bounds[n + 1]))
-    worst = max(worst, 0.0)
+    # interval n runs from vals[idx[n]] to vals[idx[n + 1]], both included
+    ends = vals[idx[1:]]
+    osc = np.maximum(np.maximum.reduceat(vals, idx[:-1]), ends)
+    osc -= np.minimum(np.minimum.reduceat(vals, idx[:-1]), ends)
+    n = int(np.argmax(osc))  # the first widest interval
+    worst, witness = float(osc[n]), (float(bounds[n]), float(bounds[n + 1]))
     return CoverReport(holds=bool(worst <= delta), worst_oscillation=worst, witness_interval=witness)
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import GridSpec, StoppingSequence, lebesgue_sequence, merge, verify_fine_cover
-from .paths import REL_TOL, SampledPath, evaluate_many
+from .partitions import _merge_stops
+from .paths import REL_TOL, SampledPath, _interp, evaluate_many
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,16 @@ def qcov_at(
 ) -> np.ndarray:
     """Exact simple quadratic covariation of x and y along seq at times ts."""
     ts = np.asarray(ts, dtype=np.float64)
+    idx = np.searchsorted(seq.times, ts, side="right") - 1
+    return _qcov_along(x, y, seq, ts, idx)
+
+
+def _qcov_along(x: SampledPath, y: SampledPath, seq: StoppingSequence, ts, idx):
+    """qcov_at, given the index of the last stop at or before each of ts."""
     wx = evaluate_many(x, seq.times)
     wy = evaluate_many(y, seq.times)
     cum = np.concatenate(([0.0], np.cumsum(np.diff(wx) * np.diff(wy))))
-    idx = np.searchsorted(seq.times, ts, side="right") - 1
     return cum[idx] + (evaluate_many(x, ts) - wx[idx]) * (evaluate_many(y, ts) - wy[idx])
-
-
-def _curve_stamps(path: SampledPath, seq: StoppingSequence) -> np.ndarray:
-    return np.union1d(path.times, seq.times)
 
 
 def simple_qv(path: SampledPath, seq: StoppingSequence) -> QvCurve:
@@ -92,31 +94,14 @@ def simple_qv(path: SampledPath, seq: StoppingSequence) -> QvCurve:
     return QvCurve(stamps, _qv_along(path, seq, stamps, idx), seq_id=seq.label)
 
 
-def _merge_stops(times: np.ndarray, stops: np.ndarray):
-    """np.union1d(times, stops) and, at each of its values, the index of the
-    last stop at or before it, from one stable merge of the two sorted runs
-    (a stable sort merges presorted runs in linear time, where searchsorted
-    would search once for every value)."""
-    both = np.concatenate((stops, times))
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    # stops come first among equal values, so the last of them closes a value
-    last = np.empty(merged.size, dtype=bool)
-    last[-1] = True
-    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
-    idx = np.cumsum(order < stops.size)
-    idx -= 1
-    return merged[last], idx[last]
-
-
 def simple_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> QvCurve:
     """Simple quadratic covariation curve of x and y along seq."""
     if x.horizon != y.horizon:
         raise ValueError("paths must share a horizon")
     if seq.horizon != x.horizon:
         raise ValueError("sequence horizon must match the paths")
-    stamps = np.union1d(_curve_stamps(x, seq), y.times)
-    return QvCurve(stamps, qcov_at(x, y, seq, stamps), seq_id=seq.label)
+    stamps, idx = _merge_stops(np.union1d(x.times, y.times), seq.times)
+    return QvCurve(stamps, _qcov_along(x, y, seq, stamps, idx), seq_id=seq.label)
 
 
 def merge_error_bound_check(
@@ -161,11 +146,28 @@ def sup_distance(a: SampledPath, b: SampledPath) -> float:
     """Exact sup |a - b| for piecewise-linear curves on a common horizon."""
     if a.horizon != b.horizon:
         raise ValueError("curves must share a horizon")
-    # a curve takes its own values at its own stamps, so the sup over the
-    # union of stamps is the larger of the sups over each curve's stamps
-    gap = evaluate_many(b, a.times)
-    np.subtract(a.values, gap, out=gap)
-    worst = float(np.max(np.abs(gap, out=gap)))
-    gap = evaluate_many(a, b.times)
-    gap -= b.values
-    return max(worst, float(np.max(np.abs(gap, out=gap))))
+    return float(_sup_gaps(a, b, [a.horizon])[0])
+
+
+def _sup_gaps(a: SampledPath, b: SampledPath, ts) -> np.ndarray:
+    """sup |a - b| over [0, t] for each t of the non-decreasing ts.
+
+    A curve takes its own values at its own stamps, so the sup over the
+    union of stamps up to t is the larger of the sups over each curve's
+    stamps up to t, and the gap at t. Each curve's stamps between two
+    consecutive t are reduced once.
+    """
+    sups, at_t = [], []
+    for c, d in ((a, b), (b, a)):
+        gap = _interp(c.times, d)
+        np.subtract(c.values, gap, out=gap)
+        np.abs(gap, out=gap)
+        worst, lo = 0.0, 0
+        for t, hi in zip(ts, np.searchsorted(c.times, ts, side="right").tolist()):
+            if hi > lo:
+                worst, lo = max(worst, float(gap[lo:hi].max())), hi
+            sups.append(worst)
+            # c(t) from the stamps around t: np.interp copies a read-only curve whole
+            at_t.append(np.interp(t, c.times[hi - 1 : hi + 1], c.values[hi - 1 : hi + 1]))
+    sups, at_t = np.reshape(sups, (2, -1)), np.reshape(at_t, (2, -1))
+    return np.maximum(np.maximum(sups[0], sups[1]), np.abs(at_t[0] - at_t[1]))

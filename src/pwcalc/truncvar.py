@@ -36,16 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import GridSpec, _grid_hits
-from .paths import REL_TOL, SampledPath, evaluate_many, hitting_time_abs
+from .paths import REL_TOL, SampledPath, _interp, hitting_time_abs
 
 
 def _window_values(path: SampledPath, a: float, b: float) -> np.ndarray:
     """Sample values on [a, b] with interpolated endpoint values."""
     if not (0.0 <= a <= b <= path.horizon):
         raise ValueError("window must satisfy 0 <= a <= b <= horizon")
-    inner = path.times[(path.times > a) & (path.times < b)]
-    ts = np.concatenate(([a], inner, [b]))
-    return evaluate_many(path, ts)
+    # samples inside (a, b) as stored: interpolation at a sample returns it
+    lo = int(np.searchsorted(path.times, a, side="right"))
+    hi = max(int(np.searchsorted(path.times, b, side="left")), lo)
+    ends = _interp([a, b], path)
+    return np.concatenate((ends[:1], path.values[lo:hi], ends[1:]))
 
 
 def ttv_dp_oracle(path: SampledPath, c: float, a: float = 0.0, b: float | None = None) -> float:

@@ -147,6 +147,21 @@ def test_step_approximation_uniform_error(seed, m):
     assert float(gap.max()) <= 2.0**-m + 1e-12
 
 
+@given(seed=st.integers(0, 30), m=st.integers(0, 6), shift=st.floats(-3.0, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_step_approximation_is_the_level_sequence(seed, m, shift):
+    w = _wiener(seed)
+    f = SampledPath(w.times, w.values + shift)
+    q = 2.0**-m
+    f0 = float(f.values[0])
+    r = f0 - q * math.floor(f0 / q)
+    seq = lebesgue_sequence(f, GridSpec(q, r if 0.0 <= r < q else 0.0))
+    sp = step_approximation(f, m)
+    assert sp.seq.times.tobytes() == seq.times.tobytes()
+    assert sp.seq.values.tobytes() == seq.values.tobytes()
+    assert sp.values.tobytes() == seq.values.tobytes()
+
+
 def test_model_free_integral_line():
     res = model_free_integral(LINE01, LINE01, 6)
     assert len(res.curves) == 7
@@ -217,3 +232,19 @@ def test_empirical_distances_vanish_on_equal_arguments():
     assert empirical_dqv(fm, fm, paths).value == 0.0
     with pytest.raises(ValueError):
         empirical_dqv(fm, fm, [])
+
+
+@pytest.mark.parametrize("n_levels", [0, -1])
+def test_empirical_distances_refuse_no_levels(n_levels):
+    def fm(x):
+        return step_approximation(x, 2)
+
+    with pytest.raises(ValueError, match="n_levels"):
+        empirical_dqv(fm, fm, [LINE01], n_levels=n_levels)
+    with pytest.raises(ValueError, match="n_levels"):
+        empirical_dinf(lambda x: x, lambda x: x, [LINE01], n_levels=n_levels)
+
+
+def test_empirical_dqv_refuses_negative_qv_level():
+    with pytest.raises(ValueError, match="qv_level"):
+        empirical_dqv(lambda x: x, lambda x: x, [LINE01], qv_level=-1)

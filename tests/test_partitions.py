@@ -17,6 +17,7 @@ from pwcalc import (
     merge,
     verify_fine_cover,
 )
+from pwcalc.partitions import _merge_stops
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 
@@ -97,6 +98,40 @@ def test_lebesgue_sequence_covers_at_twice_the_mesh(seed, mi, off):
     assert verify_fine_cover(x, seq, 2.0 * d).holds
 
 
+def _cover_reference(path, seq):
+    """verify_fine_cover's per-interval loop before it was vectorized, verbatim."""
+    bounds = np.append(seq.times, path.horizon)
+    stamps = np.union1d(path.times, bounds)
+    vals = evaluate_many(path, stamps)
+    idx = np.searchsorted(stamps, bounds, side="left")
+    worst = -1.0
+    witness = (0.0, 0.0)
+    for n in range(len(bounds) - 1):
+        lo, hi = idx[n], idx[n + 1]
+        seg = vals[lo : hi + 1]
+        osc = float(seg.max() - seg.min()) if seg.size else 0.0
+        if osc > worst:
+            worst = osc
+            witness = (float(bounds[n]), float(bounds[n + 1]))
+    return max(worst, 0.0), witness
+
+
+@given(
+    seed=st.integers(0, 50), n=st.integers(1, 12), repeats=st.integers(0, 3), end=st.booleans()
+)
+@settings(max_examples=60, deadline=None)
+def test_cover_is_the_per_interval_loop(seed, n, repeats, end):
+    x = _wiener(seed, step=2.0**-5)
+    rng = np.random.default_rng(seed)
+    # stops at and between samples, repeated, and possibly at the horizon
+    at_samples = x.times[rng.integers(x.times.size, size=n)]
+    picks = np.concatenate((rng.uniform(0.0, x.horizon, n), at_samples))
+    times = np.sort(np.concatenate(([0.0], picks, picks[:repeats], [x.horizon] if end else [])))
+    seq = StoppingSequence(times, evaluate_many(x, times), x.horizon)
+    rep = verify_fine_cover(x, seq, 0.5)
+    assert (rep.worst_oscillation, rep.witness_interval) == _cover_reference(x, seq)
+
+
 def test_merge_unions_stop_times():
     a = lebesgue_sequence(ZIGZAG3, GridSpec(0.4, 0.0))
     b = lebesgue_sequence(ZIGZAG3, GridSpec(0.5, 0.25))
@@ -142,3 +177,21 @@ def test_level_indices_just_inside_float_precision():
     seq = lebesgue_sequence(path, GridSpec(1.0))
     assert np.array_equal(seq.times, [0.0, 1.0, 2.0, 3.0])
     assert np.array_equal(seq.values, [k, k + 1.0, k + 2.0, k + 3.0])
+
+
+def _sorted(min_size=0):
+    # + 0.0 turns -0.0 into 0.0: union1d and the merge may keep either zero
+    floats = st.lists(st.floats(-4.0, 4.0), min_size=min_size, max_size=30)
+    return floats.map(lambda v: np.sort(np.asarray(v, dtype=np.float64)) + 0.0)
+
+
+@given(times=_sorted(), own=_sorted(1), shared=st.lists(st.integers(0, 100), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_merge_stops_is_union_and_searchsorted(times, own, shared):
+    # stops repeat, and some are drawn from times
+    picked = times[np.asarray(shared, dtype=np.intp) % times.size] if times.size else own
+    stops = np.sort(np.concatenate((own, own[:2], picked)))
+    merged, idx = _merge_stops(times, stops)
+    union = np.union1d(times, stops)
+    assert merged.tobytes() == union.tobytes()
+    assert idx.tobytes() == (np.searchsorted(stops, union, "right") - 1).tobytes()

@@ -21,7 +21,8 @@ from pwcalc import (
     simple_qv,
     sup_distance,
 )
-from pwcalc.quadvar import qcov_at
+from pwcalc.paths import _interp
+from pwcalc.quadvar import _sup_gaps, qcov_at
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -140,3 +141,46 @@ def test_sup_distance_checks_all_stamps():
     assert sup_distance(a, b) == 1.0
     with pytest.raises(ValueError):
         sup_distance(a, SampledPath(np.asarray([0.0, 2.0]), np.zeros(2)))
+
+
+def _sup_gap_upto_reference(a, b, t_hi):
+    """The sup gap localized_integral took before _sup_gaps, verbatim."""
+    stamps = np.union1d(a.times, b.times)
+    stamps = stamps[stamps <= t_hi]
+    if stamps.size == 0 or stamps[-1] != t_hi:
+        stamps = np.append(stamps, t_hi)
+    return float(np.max(np.abs(evaluate_many(a, stamps) - evaluate_many(b, stamps))))
+
+
+def _running_sups_reference(yi, zi, t_levels):
+    """empirical_dinf's running-max sups before _sup_gaps, verbatim."""
+    stamps = np.union1d(yi.times, zi.times)
+    gap = np.abs(evaluate_many(yi, stamps) - evaluate_many(zi, stamps))
+    running = np.maximum.accumulate(gap)
+    out = []
+    for t_n in t_levels:
+        j = int(np.searchsorted(stamps, t_n, side="right")) - 1
+        at_t = abs(float(_interp(t_n, yi)) - float(_interp(t_n, zi)))
+        out.append(max(float(running[j]), at_t))
+    return out
+
+
+def _random_stamps(rng, n):
+    return np.union1d([0.0, 2.0], rng.uniform(0.0, 2.0, n))
+
+
+@given(seed=st.integers(0, 10**6), na=st.integers(0, 40), nb=st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_sup_gaps_are_bitwise_the_replaced_forms(seed, na, nb):
+    rng = np.random.default_rng(seed)
+    ta = _random_stamps(rng, na)
+    tb = np.union1d(_random_stamps(rng, nb), ta[::3])  # some stamps shared
+    a, b = SampledPath(ta, rng.normal(size=ta.size)), SampledPath(tb, rng.normal(size=tb.size))
+    # t at stamps of either curve, between stamps, at 0 and at the horizon
+    picks = [a.times[rng.integers(a.times.size)], b.times[rng.integers(b.times.size)]]
+    ts = np.sort(np.concatenate((picks, rng.uniform(0.0, 2.0, 4), [0.0, 2.0])))
+    sups = _sup_gaps(a, b, ts)
+    assert sups.tobytes() == np.asarray(_running_sups_reference(a, b, ts)).tobytes()
+    ref = np.asarray([_sup_gap_upto_reference(a, b, t) for t in ts])
+    assert sups.tobytes() == ref.tobytes()
+    assert np.float64(sup_distance(a, b)).tobytes() == sups[-1].tobytes()

@@ -48,6 +48,25 @@ def test_ttv_window_interpolates_endpoints():
         ttv_sweep(ZIGZAG3, 0.1, 2.0, 1.0)
 
 
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 30),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    at_samples=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_window_values_are_bitwise_the_interpolated_window(seed, n, ends, at_samples):
+    rng = np.random.default_rng(seed)
+    times = np.union1d([0.0], rng.uniform(0.0, 3.0, n))
+    path = SampledPath(times, rng.normal(size=times.size))
+    a, b = sorted(e * path.horizon for e in ends)
+    if at_samples:  # window ends on sample times, possibly the same one
+        a, b = sorted(times[rng.integers(times.size, size=2)])
+    inner = path.times[(path.times > a) & (path.times < b)]
+    ref = paths.evaluate_many(path, np.concatenate(([a], inner, [b])))
+    assert truncvar._window_values(path, a, b).tobytes() == ref.tobytes()
+
+
 @given(vals=st.lists(st.floats(-4, 4), min_size=2, max_size=50), c=st.floats(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_sweep_equals_dp_oracle(vals, c):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bdg import certify_path
 from .partitions import StoppingSequence, _level_sequence, _merge_stops
-from .paths import REL_TOL, SampledPath, _interp, evaluate_many, hitting_time_abs
+from .paths import REL_TOL, SampledPath, _exit_times, _interp, evaluate_many, hitting_time_abs
 from .quadvar import _sup_gaps, qv_at, qv_estimate_dyadic, sup_distance
 
 _MAX_VARIATION = 1e12
@@ -60,13 +60,6 @@ class StepProcess:
         object.__setattr__(self, "values", v)
 
 
-def step_values_at(sp: StepProcess, ts: np.ndarray) -> np.ndarray:
-    """Vectorized step lookup; before the first stop the value is values[0]."""
-    idx = np.searchsorted(sp.seq.times, np.asarray(ts, dtype=np.float64), side="right") - 1
-    idx = np.maximum(idx, 0)
-    return sp.values[idx]
-
-
 def capital_process(g: StepProcess, x: SampledPath) -> SampledPath:
     """Capital from zero of holding g's values against x, exact at and between stamps."""
     tau = g.seq.times
@@ -86,22 +79,28 @@ def witness_strategy_qv(x: SampledPath, seq: StoppingSequence, threshold: float)
     Positions are 2 (X(tau_n) - X_0), zeroed from the first stop at or past
     sigma; the identity telescopes exactly at every stamp t <= sigma.
     """
-    sigma = hitting_time_abs(x, threshold)
+    return _qv_witness(seq, hitting_time_abs(x, threshold))
+
+
+def _qv_witness(seq: StoppingSequence, sigma: float) -> StepProcess:
+    """witness_strategy_qv for a sigma already solved."""
     w = seq.values
     g = 2.0 * (w - w[0])
     g[seq.times >= sigma] = 0.0
     return StepProcess(seq, g)
 
 
+def _prefix_stamps(stamps: np.ndarray, t: float) -> np.ndarray:
+    """The sorted stamps in [0, t], with t last."""
+    head = stamps[: int(np.searchsorted(stamps, t, side="right"))]
+    return head if head.size and head[-1] == t else np.append(head, t)
+
+
 def witness_identity_gap(x: SampledPath, seq: StoppingSequence, threshold: float) -> float:
     """Max |capital - ((X_t - X_0)^2 - qv(t))| over stamps t <= sigma."""
     sigma = hitting_time_abs(x, threshold)
-    strat = witness_strategy_qv(x, seq, threshold)
-    cap = capital_process(strat, x)
-    t_hi = min(sigma, x.horizon)
-    stamps = cap.times[cap.times <= t_hi]
-    if stamps[-1] != t_hi:
-        stamps = np.append(stamps, t_hi)
+    cap = capital_process(_qv_witness(seq, sigma), x)
+    stamps = _prefix_stamps(cap.times, min(sigma, x.horizon))
     lhs = evaluate_many(cap, stamps)
     dx = evaluate_many(x, stamps) - x.values[0]
     rhs = dx * dx - qv_at(x, seq, stamps)
@@ -186,10 +185,7 @@ def stieltjes_integral(g, v: SampledPath, t: float | None = None) -> float:
         raise ValueError("integration limit out of range")
     if float(np.sum(np.abs(np.diff(v.values)))) > _MAX_VARIATION:
         raise ValueError("integrator variation exceeds the finite-variation guard")
-    mesh = np.union1d(v.times, _integrand_times(g))
-    mesh = mesh[mesh <= upto]
-    if mesh.size == 0 or mesh[-1] != upto:
-        mesh = np.append(mesh, upto)
+    mesh = _prefix_stamps(np.union1d(v.times, _integrand_times(g)), upto)
     gv = _left_values(g, mesh)
     dv = np.diff(evaluate_many(v, mesh))
     return float(np.sum(gv * dv))
@@ -223,7 +219,7 @@ def localized_integral(
     levels = sorted(float(n) for n in n_schedule)
     if not levels or levels[0] <= 0.0:
         raise ValueError("localization levels must be positive")
-    sigmas = [min(hitting_time_abs(f, n), f.horizon) for n in levels]
+    sigmas = np.minimum(_exit_times(f, levels), f.horizon).tolist()
     curves = [capital_process(step_approximation(_stopped_path(f, s), m_max), x) for s in sigmas]
     gaps = []
     for i in range(len(curves) - 1):
@@ -259,11 +255,11 @@ def _mean_report(per_path: np.ndarray, reference_mean=None) -> EmpiricalDistance
     )
 
 
-def _localization_times(x: SampledPath, n_levels: int) -> list:
+def _localization_times(x: SampledPath, n_levels: int) -> np.ndarray:
     """T_N = sigma(x, N) ^ horizon for N = 1..n_levels, non-decreasing in N."""
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
-    return [min(hitting_time_abs(x, float(n)), x.horizon) for n in range(1, n_levels + 1)]
+    return np.minimum(_exit_times(x, np.arange(1.0, n_levels + 1)), x.horizon)
 
 
 def empirical_dqv(
@@ -291,10 +287,10 @@ def empirical_dqv(
         gap = _left_values(gi, mesh) - _left_values(hi, mesh)
         qvals = evaluate_many(q, mesh)
         cum = np.concatenate(([0.0], np.cumsum(gap * gap * np.diff(qvals))))
+        js = (np.searchsorted(mesh, t_levels, side="right") - 1).tolist()
         contrib = 0.0
-        for n, t_n in enumerate(t_levels, start=1):
-            j = int(np.searchsorted(mesh, t_n, side="right")) - 1
-            part = gap[j] ** 2 * (float(_interp(t_n, q)) - qvals[j]) if j < gap.size else 0.0
+        for n, (j, q_n) in enumerate(zip(js, _interp(t_levels, q).tolist()), start=1):
+            part = gap[j] ** 2 * (q_n - qvals[j]) if j < gap.size else 0.0
             contrib += 2.0**-n * math.sqrt(max(cum[j] + part, 0.0))
         per_path[i] = contrib
     return _mean_report(per_path, float(np.mean(q_end)))

@@ -107,41 +107,31 @@ def _readable(a: np.ndarray) -> np.ndarray:
     return v
 
 
-def hitting_time_abs(path: SampledPath, threshold: float, start: float = 0.0) -> float:
-    """First time t >= start with |X_t| >= threshold, or INFINITE_TIME.
+def hitting_time_abs(path: SampledPath, threshold: float) -> float:
+    """First time t with |X_t| >= threshold, or INFINITE_TIME."""
+    return float(_exit_times(path, [threshold])[0])
 
-    The crossing instant is solved exactly on the segment where the level
-    threshold (or -threshold) is first reached.
+
+def _exit_times(path: SampledPath, levels) -> np.ndarray:
+    """sigma(X, N) = inf{t : |X_t| >= N} for each level N, or INFINITE_TIME.
+
+    The first sample k at or past a level is found on the running max of
+    |X|; the sample before it is below the level, so the crossing is the
+    one solve of X = +-N, the sign of X at k, on segment [k-1, k].
     """
-    if not threshold > 0.0:
+    levels = np.asarray(levels, dtype=np.float64)
+    if not np.all(levels > 0.0):
         raise ValueError("threshold must be positive")
-    _check_domain(path, start)
-    v0 = evaluate(path, start)
-    if abs(v0) >= threshold:
-        return float(start)
     t, v = path.times, path.values
-    i0 = int(np.searchsorted(t, start, side="right"))  # first sample strictly after start
-    # segment endpoints after the (possibly partial) start segment
-    a = np.concatenate(([v0], v[i0:-1])) if i0 < t.size else np.asarray([v0])
-    b = v[i0:] if i0 < t.size else np.asarray([], dtype=np.float64)
-    if b.size == 0:
-        return INFINITE_TIME
-    ta = np.concatenate(([start], t[i0:-1]))
-    tb = t[i0:]
-    hit = np.maximum(np.abs(a), np.abs(b)) >= threshold
-    if not np.any(hit):
-        return INFINITE_TIME
-    i = int(np.argmax(hit))
-    aa, bb, t0, t1 = a[i], b[i], ta[i], tb[i]
-    cands = []
-    for lvl in (threshold, -threshold):
-        if (bb - aa) != 0.0:
-            th = (lvl - aa) / (bb - aa)
-            if 0.0 <= th <= 1.0:
-                cands.append(t0 + (t1 - t0) * th)
-    if not cands:  # flat segment sitting exactly at the level
-        return float(t0)
-    return float(min(cands))
+    k = np.searchsorted(np.maximum.accumulate(np.abs(v)), levels)
+    out = np.full(levels.shape, INFINITE_TIME)
+    out[k == 0] = 0.0
+    at = (k > 0) & (k < v.size)
+    k, lvl = k[at], levels[at]
+    a, b, t0 = v[k - 1], v[k], t[k - 1]
+    lvl = np.where(b > 0.0, lvl, -lvl)
+    out[at] = t0 + (t[k] - t0) * ((lvl - a) / (b - a))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Truncated total variation, level-crossing counts, and the qv sandwich.
 
-The c-truncated total variation of a path over [a, b] is
+The c-truncated total variation of a path over [0, t] is
 
-    ttv(c, [a, b]) = sup over partitions of sum_i max(|dx_i| - c, 0),
+    ttv(c, [0, t]) = sup over partitions of sum_i max(|dx_i| - c, 0),
 
-the supremum over finite increasing time partitions of the window. For a
+the supremum over finite increasing time partitions of the window. Every
+window is such a prefix, as every localization in the paper is. For a
 piecewise-linear path the supremum is attained on a subset of the sample
-times plus the interpolated window endpoints, which makes both the O(n^2)
+times plus the interpolated value at t, which makes both the O(n^2)
 reference and the O(n) single pass exact.
 
 Crossing counts use closed thresholds: touching a band edge counts as
@@ -39,22 +40,20 @@ from .partitions import GridSpec, _grid_hits
 from .paths import REL_TOL, SampledPath, _interp, hitting_time_abs
 
 
-def _window_values(path: SampledPath, a: float, b: float) -> np.ndarray:
-    """Sample values on [a, b] with interpolated endpoint values."""
-    if not (0.0 <= a <= b <= path.horizon):
-        raise ValueError("window must satisfy 0 <= a <= b <= horizon")
-    # samples inside (a, b) as stored: interpolation at a sample returns it
-    lo = int(np.searchsorted(path.times, a, side="right"))
-    hi = max(int(np.searchsorted(path.times, b, side="left")), lo)
-    ends = _interp([a, b], path)
-    return np.concatenate((ends[:1], path.values[lo:hi], ends[1:]))
+def _window_values(path: SampledPath, t: float) -> np.ndarray:
+    """Sample values on [0, t], the last one interpolated at t."""
+    if not 0.0 <= t <= path.horizon:
+        raise ValueError("window must satisfy 0 <= t <= horizon")
+    # samples before t as stored: interpolation at a sample returns it
+    hi = max(int(np.searchsorted(path.times, t, side="left")), 1)
+    return np.append(path.values[:hi], _interp(t, path))
 
 
-def ttv_dp_oracle(path: SampledPath, c: float, a: float = 0.0, b: float | None = None) -> float:
+def ttv_dp_oracle(path: SampledPath, c: float) -> float:
     """Quadratic-time reference maximization, straight from the definition."""
     if not c >= 0.0:
         raise ValueError("threshold c must be nonnegative")
-    x = _window_values(path, a, path.horizon if b is None else b)
+    x = path.values
     n = x.size
     v = np.zeros(n)
     for i in range(1, n):
@@ -85,8 +84,8 @@ def _sweep_from_values(x: np.ndarray, c: float) -> float:
     return best
 
 
-def ttv_sweep(path: SampledPath, c: float, a: float = 0.0, b: float | None = None) -> float:
-    """Single-pass truncated variation; equals ttv_dp_oracle.
+def ttv_sweep(path: SampledPath, c: float, t: float | None = None) -> float:
+    """Single-pass truncated variation on [0, t]; equals ttv_dp_oracle.
 
     Keeps running maxima of v_j, v_j - x_j, v_j + x_j over processed points,
     which is enough because each new partition leg contributes
@@ -94,7 +93,7 @@ def ttv_sweep(path: SampledPath, c: float, a: float = 0.0, b: float | None = Non
     """
     if not c >= 0.0:
         raise ValueError("threshold c must be nonnegative")
-    x = _window_values(path, a, path.horizon if b is None else b)
+    x = path.values if t is None else _window_values(path, t)
     return _sweep_from_values(x, c)
 
 
@@ -138,6 +137,7 @@ def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
             np.maximum(best, vi, out=best)
             np.subtract(best, sx, out=pair)
             np.maximum(state, pair, out=state)
+    best += 0.0  # a tie of zeros in np.maximum may leave -0.0; the scalar form gives +0.0
     return best.reshape(cs.shape + (rows,))
 
 
@@ -168,9 +168,7 @@ class CrossingProfile:
         return float(np.sum((self.z_hi - self.z_lo) * self.counts))
 
 
-def crossing_profile(
-    path: SampledPath, c: float, a: float = 0.0, b: float | None = None
-) -> CrossingProfile:
+def crossing_profile(path: SampledPath, c: float) -> CrossingProfile:
     """Counts as a function of the band center z, exact between breakpoints.
 
     The count can only change where a band edge passes a sample value, so the
@@ -179,7 +177,7 @@ def crossing_profile(
     """
     if not c > 0.0:
         raise ValueError("band width c must be positive")
-    x = _window_values(path, a, path.horizon if b is None else b)
+    x = path.values
     edges = np.unique(np.concatenate((x - 0.5 * c, x + 0.5 * c)))
     if edges.size < 2:
         return CrossingProfile(edges[:1], edges[:1], np.zeros(1, dtype=np.int64))
@@ -188,11 +186,9 @@ def crossing_profile(
     return CrossingProfile(edges[:-1], edges[1:], counts)
 
 
-def banach_indicatrix_integral(
-    path: SampledPath, c: float, a: float = 0.0, b: float | None = None
-) -> float:
+def banach_indicatrix_integral(path: SampledPath, c: float) -> float:
     """Integral over band centers of the crossing count; equals ttv(c)."""
-    return crossing_profile(path, c, a, b).integral()
+    return crossing_profile(path, c).integral()
 
 
 def transition_count(path: SampledPath, grid: GridSpec, t: float | None = None) -> int:
@@ -258,7 +254,7 @@ def sandwich_check(
     }
     reports = []
     for m in ms:
-        middle = ttv_sweep(path, float(m) ** -2, 0.0, t_eff)
+        middle = ttv_sweep(path, float(m) ** -2, t_eff)
         lower, upper = family[m - 1], family[m + 1]
         tol = REL_TOL * (1.0 + abs(middle))
         reports.append(

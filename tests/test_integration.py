@@ -30,7 +30,6 @@ from pwcalc import (
     witness_identity_gap,
     witness_strategy_qv,
 )
-from pwcalc.integration import step_values_at
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -39,6 +38,13 @@ UNIT = lebesgue_sequence(ZIGZAG3, GridSpec(1.0, 0.0))
 
 def _wiener(seed, step=2.0**-7):
     return generate(PathGeneratorConfig("wiener", step=step, seed=seed))
+
+
+def step_values_at(sp: StepProcess, ts: np.ndarray) -> np.ndarray:
+    """Reference step lookup; before the first stop the value is values[0]."""
+    idx = np.searchsorted(sp.seq.times, np.asarray(ts, dtype=np.float64), side="right") - 1
+    idx = np.maximum(idx, 0)
+    return sp.values[idx]
 
 
 def test_step_process_validation():

@@ -1,10 +1,11 @@
 """Paths: construction, interpolation, exact hitting solves, generators."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwcalc import (
@@ -22,9 +23,13 @@ from pwcalc import (
     qv_at,
     run,
 )
-from pwcalc.paths import _level_values
+from pwcalc.paths import _exit_times, _level_values
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("d", v)
 
 
 def test_rejects_bad_samples():
@@ -71,14 +76,83 @@ def test_hitting_time_solved_on_segment():
 
 
 def test_hitting_time_start_and_miss():
-    assert hitting_time_abs(ZIGZAG3, 0.75, start=1.5) == pytest.approx(2.75, abs=1e-15)
     assert hitting_time_abs(ZIGZAG3, 2.0) == INFINITE_TIME
-    # already at or past the level: the start itself is the hit
-    assert hitting_time_abs(ZIGZAG3, 0.5, start=0.5) == 0.5
+    # already at or past the level at time 0: the start itself is the hit
+    high = SampledPath(np.asarray([0.0, 1.0]), np.asarray([-0.5, 0.0]))
+    assert hitting_time_abs(high, 0.5) == 0.0
     with pytest.raises(ValueError):
         hitting_time_abs(ZIGZAG3, 0.0)
-    with pytest.raises(ValueError):
-        hitting_time_abs(ZIGZAG3, 1.0, start=5.0)
+
+
+def _hitting_time_reference(path, threshold):
+    """hitting_time_abs as it was with a start argument, at start 0."""
+    start = 0.0
+    if not threshold > 0.0:
+        raise ValueError("threshold must be positive")
+    v0 = evaluate(path, start)
+    if abs(v0) >= threshold:
+        return float(start)
+    t, v = path.times, path.values
+    i0 = int(np.searchsorted(t, start, side="right"))
+    a = np.concatenate(([v0], v[i0:-1])) if i0 < t.size else np.asarray([v0])
+    b = v[i0:] if i0 < t.size else np.asarray([], dtype=np.float64)
+    if b.size == 0:
+        return INFINITE_TIME
+    ta = np.concatenate(([start], t[i0:-1]))
+    tb = t[i0:]
+    hit = np.maximum(np.abs(a), np.abs(b)) >= threshold
+    if not np.any(hit):
+        return INFINITE_TIME
+    i = int(np.argmax(hit))
+    aa, bb, t0, t1 = a[i], b[i], ta[i], tb[i]
+    cands = []
+    for lvl in (threshold, -threshold):
+        if (bb - aa) != 0.0:
+            th = (lvl - aa) / (bb - aa)
+            if 0.0 <= th <= 1.0:
+                cands.append(t0 + (t1 - t0) * th)
+    if not cands:
+        return float(t0)
+    return float(min(cands))
+
+
+@st.composite
+def _paths_and_levels(draw):
+    n = draw(st.integers(1, 25))
+    grid = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5])
+    steps = draw(st.lists(st.one_of(grid, st.floats(-2, 2)), min_size=n, max_size=n))
+    # a running sum of grid steps has flat runs and samples exactly on levels
+    vals = np.cumsum(steps) if draw(st.booleans()) else np.asarray(steps)
+    gaps = draw(st.lists(st.floats(1e-3, 2), min_size=n - 1, max_size=n - 1))
+    path = SampledPath(np.concatenate(([0.0], np.cumsum(gaps))), vals)
+    on_samples = [abs(float(x)) for x in vals if x != 0.0]
+    level = st.one_of(
+        st.sampled_from(on_samples) if on_samples else st.just(0.5),
+        st.sampled_from([0.5, 1.0, 1.5, 1e3]),  # 1e3: above every |X|, never reached
+        st.floats(1e-6, 8),
+    )
+    return path, draw(st.lists(level, min_size=1, max_size=12))
+
+
+@given(case=_paths_and_levels())
+@example(case=(ZIGZAG3, [1.0, 0.5, 2.0, 1.0]))
+@example(case=(SampledPath(np.zeros(1), np.asarray([0.75])), [0.5, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_exit_times_are_bitwise_the_segment_solver(case):
+    path, levels = case
+    got = _exit_times(path, levels)
+    want = np.asarray([_hitting_time_reference(path, lv) for lv in levels])
+    assert got.tobytes() == want.tobytes()
+    for lv, t in zip(levels, got):
+        assert _bits(hitting_time_abs(path, lv)) == _bits(float(t))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_exit_times_refuse_non_positive_levels(bad):
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        _exit_times(ZIGZAG3, [0.5, bad])
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        hitting_time_abs(ZIGZAG3, bad)
 
 
 @given(

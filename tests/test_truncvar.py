@@ -43,28 +43,40 @@ def test_ttv_zigzag_thresholds():
 
 
 def test_ttv_window_interpolates_endpoints():
-    assert ttv_sweep(ZIGZAG3, 0.5, 0.5, 2.5) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        ttv_sweep(ZIGZAG3, 0.1, 2.0, 1.0)
+    # [0, 2.5] ends halfway up the last rise: 0 -> 1 -> 0 -> 0.5
+    assert ttv_sweep(ZIGZAG3, 0.5, 2.5) == pytest.approx(1.0, abs=1e-12)
+    assert ttv_sweep(ZIGZAG3, 0.25, 0.5) == pytest.approx(0.25, abs=1e-12)
+    assert ttv_sweep(ZIGZAG3, 0.0, 2.5) == 2.5
+    assert ttv_sweep(ZIGZAG3, 0.0, 2.0) == 2.0
+    assert ttv_sweep(ZIGZAG3, 0.0, 0.0) == 0.0
+    assert ttv_sweep(ZIGZAG3, 0.5, 3.0) == ttv_sweep(ZIGZAG3, 0.5)
+    for t in (3.5, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            ttv_sweep(ZIGZAG3, 0.1, t)
 
 
 @given(
     seed=st.integers(0, 10**6),
     n=st.integers(1, 30),
-    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    at_samples=st.booleans(),
+    end=st.floats(0.0, 1.0),
+    where=st.sampled_from(["between", "sample", "zero", "horizon"]),
 )
 @settings(max_examples=100, deadline=None)
-def test_window_values_are_bitwise_the_interpolated_window(seed, n, ends, at_samples):
+def test_window_values_are_bitwise_the_interpolated_window(seed, n, end, where):
     rng = np.random.default_rng(seed)
     times = np.union1d([0.0], rng.uniform(0.0, 3.0, n))
     path = SampledPath(times, rng.normal(size=times.size))
-    a, b = sorted(e * path.horizon for e in ends)
-    if at_samples:  # window ends on sample times, possibly the same one
-        a, b = sorted(times[rng.integers(times.size, size=2)])
-    inner = path.times[(path.times > a) & (path.times < b)]
-    ref = paths.evaluate_many(path, np.concatenate(([a], inner, [b])))
-    assert truncvar._window_values(path, a, b).tobytes() == ref.tobytes()
+    t = {
+        "between": end * path.horizon,
+        "sample": times[rng.integers(times.size)],
+        "zero": 0.0,
+        "horizon": path.horizon,
+    }[where]
+    inner = path.times[(path.times > 0.0) & (path.times < t)]
+    ref = paths.evaluate_many(path, np.concatenate(([0.0], inner, [t])))
+    assert truncvar._window_values(path, t).tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        truncvar._window_values(path, np.nextafter(path.horizon, np.inf))
 
 
 @given(vals=st.lists(st.floats(-4, 4), min_size=2, max_size=50), c=st.floats(0, 3))
@@ -163,7 +175,7 @@ def _sandwich_reference(path, m, threshold=None, t=None):
     sigma = paths.hitting_time_abs(path, big)
     t_eff = min(path.horizon if t is None else t, sigma, path.horizon)
     c = float(m) ** -2
-    middle = ttv_sweep(path, c, 0.0, t_eff)
+    middle = ttv_sweep(path, c, t_eff)
     lower = (m - 1) * truncvar._shifted_transition_sum(path, m - 1, t_eff)
     upper = (m + 1) * truncvar._shifted_transition_sum(path, m + 1, t_eff)
     tol = REL_TOL * (1.0 + abs(middle))
@@ -209,14 +221,26 @@ def _value_matrices(draw):
 def test_kernels_are_bitwise_the_reference_recurrences(values, cs, scalar):
     c = cs[0] if scalar else cs
     batch = truncvar._ttv_batch(values, c)
-    assert batch.tobytes() == _ttv_batch_reference(values, c).tobytes()
-    for ci, out in zip(np.atleast_1d(c), batch.reshape(-1, values.shape[0])):
-        for row, got in zip(values, out):
+    # the batch adds 0.0 to the reference's result: -0.0 becomes +0.0, all else keeps its bits
+    assert batch.tobytes() == (_ttv_batch_reference(values, c) + 0.0).tobytes()
+    for ci in np.atleast_1d(c):
+        for row in values:
             sweep = truncvar._sweep_from_values(row, float(ci))
             assert _bits(sweep) == _bits(_sweep_reference(row, float(ci)))
-            # np.maximum returns its second operand on a tie and the scalar
-            # keeps best, so a zero result may carry either sign in the batch
-            assert _bits(sweep) == _bits(float(got)) or sweep == got == 0.0
+
+
+@given(
+    values=_value_matrices(),
+    cs=st.lists(st.one_of(st.just(0.0), _EDGES.map(abs), st.floats(0, 3)), min_size=1, max_size=3),
+)
+@example(values=np.asarray([[-0.0, 0.0]]), cs=[0.0])
+@example(values=np.asarray([[0.0, -0.0, -0.0], [-0.0, -0.0, 0.0]]), cs=[0.0, 1.0])
+@settings(max_examples=80, deadline=None)
+def test_ttv_batch_is_bitwise_the_scalar_recurrence(values, cs):
+    batch = truncvar._ttv_batch(values, cs)
+    for c, out in zip(cs, batch):
+        scalar = np.asarray([truncvar._sweep_from_values(row, c) for row in values])
+        assert out.tobytes() == scalar.tobytes()
 
 
 def test_ttv_batch_memory_stays_bounded():

@@ -66,16 +66,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def parallel_map(fn, items):
+# ensembles of members with fewer samples run on the calling thread
+PARALLEL_MIN_SAMPLES = 2**15
+
+
+def _workers(items: int, samples: float = math.inf) -> int:
+    """Pool size for a map over items, each a path of at least `samples`
+    samples: 1 below PARALLEL_MIN_SAMPLES, else one worker per item and per
+    CPU the process may run on, up to PWCALC_THREADS."""
+    if samples < PARALLEL_MIN_SAMPLES:
+        return 1
+    return min(thread_count(), items, _usable_cpus())
+
+
+def parallel_map(fn, items, workers: int | None = None):
     """Map over ensemble members; results keyed by index, so any schedule
     yields the same list.
 
-    The pool has at most one worker per item and per CPU the process may
-    run on, whatever PWCALC_THREADS asks for: each worker keeps its own
-    scratch rows.
+    workers is the pool size, by default _workers(len(items)); one worker
+    loops on the calling thread. Each worker keeps its own scratch rows.
+    An ensemble gets a pool only when its members reach PARALLEL_MIN_SAMPLES
+    samples (_ensemble_workers): two threads that each make many short numpy
+    calls hand the GIL back and forth on every call that releases it, which
+    costs more than the second core gains. The sandwich preset (100 members
+    of 2^12 steps) took 1.43 s on one thread and 2.28 s on two (2-core box).
     """
     items = list(items)
-    n = min(thread_count(), len(items), _usable_cpus())
+    n = _workers(len(items)) if workers is None else workers
     if n <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
@@ -242,10 +259,17 @@ def _member(cfg: ExperimentConfig, i: int) -> SampledPath:
     return generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
 
 
+def _ensemble_workers(cfg: ExperimentConfig) -> int:
+    """Pool size of cfg's ensemble, from the length every member reaches."""
+    return _workers(cfg.ensemble_size, cfg.generator.segments)
+
+
 def _each_member(cfg: ExperimentConfig, fn) -> list:
     """[fn(i, member i) for every member i], in member order, whatever the
     thread count."""
-    return parallel_map(lambda i: fn(i, _member(cfg, i)), range(cfg.ensemble_size))
+    return parallel_map(
+        lambda i: fn(i, _member(cfg, i)), range(cfg.ensemble_size), _ensemble_workers(cfg)
+    )
 
 
 def _median(values) -> float:
@@ -325,13 +349,17 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
         offset = float(rng.uniform(0.0, mesh))
         offset = 0.0 if offset >= mesh else offset
         seq = lebesgue_sequence(x, GridSpec(mesh, offset))
+        # the p = 1 certificate and sigma serve the rows and both witness checks
+        cert1 = bdg.certify_path(x, seq, 1.0)
         rows = [
             {"member": i, "p": p, "stops": len(seq),
-             "holds": bool(bdg.certify_path(x, seq, p).holds)}
+             "holds": bool((cert1 if p == 1.0 else bdg.certify_path(x, seq, p)).holds)}
             for p in cfg.p_list
         ]
-        big = 1.0 + float(np.max(np.abs(x.values)))
-        return rows, (integration.witness_identity_gap(x, seq, big), _bdg_witness_gap(x, seq, big))
+        sigma = hitting_time_abs(x, 1.0 + float(np.max(np.abs(x.values))))
+        return rows, (
+            integration._witness_gap(x, seq, sigma), _bdg_witness_gap(x, seq, cert1, sigma)
+        )
 
     per_member, gaps = zip(*_each_member(cfg, one))
     rows = [row for member_rows in per_member for row in member_rows]
@@ -354,13 +382,13 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
     return checks, {"certificates": rows}
 
 
-def _bdg_witness_gap(x: SampledPath, seq: StoppingSequence, big: float) -> float:
-    """Capital of the certificate strategy vs its discrete integral at stops."""
-    cert = bdg.certify_path(x, seq, 1.0)
-    strat = integration.bdg_witness_strategy(x, seq, 1.0, big)
-    cap = integration.capital_process(strat, x)
+def _bdg_witness_gap(
+    x: SampledPath, seq: StoppingSequence, cert: bdg.BdgCertificate, sigma: float
+) -> float:
+    """Capital of the p = 1 certificate strategy vs its discrete integral at
+    stops, up to sigma."""
+    cap = integration.capital_process(integration._bdg_witness(seq, cert.h, sigma), x)
     at_stops = paths.evaluate_many(cap, seq.times)
-    sigma = hitting_time_abs(x, big)
     live = seq.times <= sigma
     return float(np.max(np.abs(at_stops[live] - cert.hx[live]))) if np.any(live) else 0.0
 
@@ -706,6 +734,7 @@ def _write_artifacts(report: Report, out_dir: str, duration: float) -> None:
         "written_at_unix": time.time(),
         "duration_s": duration,
         "numpy": np.__version__,
+        "workers": _ensemble_workers(report.config),
     }
     with open(os.path.join(out_dir, "run_metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -98,7 +98,11 @@ def _prefix_stamps(stamps: np.ndarray, t: float) -> np.ndarray:
 
 def witness_identity_gap(x: SampledPath, seq: StoppingSequence, threshold: float) -> float:
     """Max |capital - ((X_t - X_0)^2 - qv(t))| over stamps t <= sigma."""
-    sigma = hitting_time_abs(x, threshold)
+    return _witness_gap(x, seq, hitting_time_abs(x, threshold))
+
+
+def _witness_gap(x: SampledPath, seq: StoppingSequence, sigma: float) -> float:
+    """witness_identity_gap for a sigma already solved."""
     cap = capital_process(_qv_witness(seq, sigma), x)
     stamps = _prefix_stamps(cap.times, min(sigma, x.horizon))
     lhs = evaluate_many(cap, stamps)
@@ -116,8 +120,13 @@ def bdg_witness_strategy(
     the shifted sampled sequence.
     """
     cert = certify_path(x, seq, p)
-    g = (cert.h if p == 1.0 else cert.g).copy()
-    g[seq.times >= hitting_time_abs(x, threshold)] = 0.0
+    return _bdg_witness(seq, cert.h if p == 1.0 else cert.g, hitting_time_abs(x, threshold))
+
+
+def _bdg_witness(seq: StoppingSequence, weights: np.ndarray, sigma: float) -> StepProcess:
+    """bdg_witness_strategy for certificate weights and a sigma already solved."""
+    g = weights.copy()
+    g[seq.times >= sigma] = 0.0
     return StepProcess(seq, g)
 
 

@@ -178,6 +178,12 @@ class PathGeneratorConfig:
                 raise ValueError("bridge_grid needs mesh > 0 and 0 <= offset < mesh")
             object.__setattr__(self, "bridge_grid", (mesh, offset))
 
+    @property
+    def segments(self) -> int:
+        """Segments between the samples of a generated member. Bridge
+        resolution only adds samples, so a member has at least this many."""
+        return max(1, int(round(self.horizon / self.step)))
+
     def to_json_dict(self) -> dict:
         d = {
             "kind": self.kind,
@@ -244,7 +250,7 @@ def _check_json_fields(cls, d, what: str) -> None:
 
 def generate(config: PathGeneratorConfig) -> SampledPath:
     """Deterministic path from config; same config and seed, same floats."""
-    n = max(1, int(round(config.horizon / config.step)))
+    n = config.segments
     times = np.linspace(0.0, config.horizon, n + 1)
     dt = config.horizon / n
     kind = config.kind

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from pwcalc import ExperimentConfig, PathGeneratorConfig, default_config, run
-from pwcalc import cli, harness
+from pwcalc import bdg, cli, harness, integration
 from pwcalc.harness import (
     EXPERIMENTS,
     _non_increasing,
@@ -111,18 +111,72 @@ def test_non_increasing_slack():
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_run_deterministic_across_thread_counts(monkeypatch, experiment):
+def test_run_deterministic_across_thread_counts(monkeypatch, pool_sizes, experiment):
     # every experiment draws its members through one runner; its ordering
-    # must not depend on the schedule
+    # must depend neither on the schedule nor on whether a pool runs it.
+    # Members of 2^8 steps run serially; a cutoff of 2^8 puts them on a pool.
     preset = default_config(experiment, seed=1)
     gen = dataclasses.replace(preset.generator, step=2.0**-8)
     cfg = dataclasses.replace(preset, generator=gen, ensemble_size=4)
-    monkeypatch.setenv("PWCALC_THREADS", "1")
-    r1 = run(cfg)
+    reports = []
+    for cutoff in (harness.PARALLEL_MIN_SAMPLES, 2**8):
+        monkeypatch.setattr(harness, "PARALLEL_MIN_SAMPLES", cutoff)
+        for threads in ("1", "4"):
+            monkeypatch.setenv("PWCALC_THREADS", threads)
+            reports.append(run(cfg))
+    assert pool_sizes == [2]
+    assert all(r.to_json_dict() == reports[0].to_json_dict() for r in reports)
+    assert reports[0].pathwise_ok
+
+
+def test_ensemble_workers_cutoff(monkeypatch):
+    # the pool size comes from the member length alone: 2^12 segments stay
+    # on the calling thread, 2^16 get one worker per member and CPU
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    short = _tiny("sandwich", generator=PathGeneratorConfig("wiener", step=2.0**-12))
+    long = _tiny("sandwich", generator=PathGeneratorConfig("wiener", step=2.0**-16))
+    assert (short.generator.segments, long.generator.segments) == (2**12, 2**16)
     monkeypatch.setenv("PWCALC_THREADS", "4")
-    r2 = run(cfg)
-    assert r1.to_json_dict() == r2.to_json_dict()
-    assert r1.pathwise_ok
+    assert harness._ensemble_workers(short) == 1
+    assert harness._ensemble_workers(long) == 2
+    assert harness._ensemble_workers(dataclasses.replace(long, ensemble_size=1)) == 1
+    monkeypatch.setenv("PWCALC_THREADS", "1")
+    assert harness._ensemble_workers(long) == 1
+
+
+def test_run_metadata_records_workers(monkeypatch, pool_sizes, tmp_path):
+    # the pool size goes to run_metadata.json, never into report.json
+    monkeypatch.setenv("PWCALC_THREADS", "2")
+    docs = []
+    for cutoff, workers in ((harness.PARALLEL_MIN_SAMPLES, 1), (2**6, 2)):
+        monkeypatch.setattr(harness, "PARALLEL_MIN_SAMPLES", cutoff)
+        out = tmp_path / str(cutoff)
+        run(_tiny("sandwich", ensemble_size=2, m_lo=3, m_hi=3, output_dir=str(out)))
+        assert json.loads((out / "run_metadata.json").read_text())["workers"] == workers
+        docs.append((out / "report.json").read_bytes())
+    assert pool_sizes == [2]
+    assert docs[0] == docs[1] and b"workers" not in docs[0]
+
+
+def test_bdg_certify_certifies_p1_once_per_member(monkeypatch):
+    # one p = 1 certificate and one sigma per member serve the rows and both
+    # witness checks, also when p_list lacks 1.0
+    calls = {"certify": 0, "sigma": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (bdg, integration):
+        monkeypatch.setattr(mod, "certify_path", counted("certify", mod.certify_path))
+    for mod in (harness, integration):
+        monkeypatch.setattr(mod, "hitting_time_abs", counted("sigma", mod.hitting_time_abs))
+    for p_list, per_member in (((1.0, 2.0), 2), ((1.5, 2.0), 3)):
+        calls.update(certify=0, sigma=0)
+        assert run(_tiny("bdg-certify", ensemble_size=3, p_list=p_list)).pathwise_ok
+        assert calls == {"certify": 3 * per_member, "sigma": 3}
 
 
 def test_bdg_certify_smoke():

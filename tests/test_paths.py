@@ -21,6 +21,7 @@ from pwcalc import (
     hitting_time_abs,
     lebesgue_sequence,
     qv_at,
+    harness,
     run,
 )
 from pwcalc.paths import _exit_times, _level_values
@@ -296,18 +297,22 @@ def test_bridge_grid_validation_and_json():
     assert PathGeneratorConfig.from_json_dict(doc) == cfg
 
 
-def test_bridge_resolved_isometry_is_thread_count_free(monkeypatch):
+def test_bridge_resolved_isometry_is_thread_count_free(monkeypatch, pool_sizes):
+    # members of 2^10 steps run serially; a cutoff of 2^10 puts them on a pool
     cfg = ExperimentConfig(
         "isometry-mc",
         PathGeneratorConfig("wiener", step=2.0**-10, seed=0),
         ensemble_size=6,
         m_hi=5,
     )
-    monkeypatch.setenv("PWCALC_THREADS", "1")
-    r1 = run(cfg).to_json_dict()
-    monkeypatch.setenv("PWCALC_THREADS", "2")
-    r2 = run(cfg).to_json_dict()
-    assert r1 == r2
+    reports = []
+    for cutoff in (harness.PARALLEL_MIN_SAMPLES, 2**10):
+        monkeypatch.setattr(harness, "PARALLEL_MIN_SAMPLES", cutoff)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PWCALC_THREADS", threads)
+            reports.append(run(cfg).to_json_dict())
+    assert pool_sizes == [2]
+    assert all(r == reports[0] for r in reports)
 
 
 def test_bridge_resolution_is_bounded():

@@ -41,7 +41,6 @@ from .paths import (
     hitting_time_abs,
 )
 from .quadvar import (
-    QvCurve,
     merge_error_bound_check,
     qv_at,
     qv_estimate_dyadic,
@@ -70,7 +69,6 @@ __all__ = [
     "GridSpec",
     "INFINITE_TIME",
     "PathGeneratorConfig",
-    "QvCurve",
     "Report",
     "ResourceLimitError",
     "SampledPath",

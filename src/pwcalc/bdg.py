@@ -16,12 +16,12 @@ every inequality is checked exactly (up to float tolerance) at every index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .partitions import StoppingSequence
-from .paths import REL_TOL, SampledPath, _scratch
+from .paths import REL_TOL, SampledPath, _frozen, _scratch
 
 # cells per block of the p > 1 weight kernel: its three scratch rows stay
 # near 1 MB each whatever the sequence length
@@ -40,19 +40,20 @@ class DiscreteSequence:
     """Finite real sequence with cached running |max| and squared bracket."""
 
     x: np.ndarray
-    abs_max: np.ndarray = None
-    bracket: np.ndarray = None
+    abs_max: np.ndarray = field(init=False)
+    bracket: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1 or x.size < 1:
-            raise ValueError("need a nonempty 1-d sequence")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("sequence must be finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "abs_max", np.maximum.accumulate(np.abs(x)))
+        x, _ = _frozen(self.x, "sequence")
+        if x.size < 1:
+            raise ValueError("need a nonempty sequence")
+        # derived, so not checked finite: the bracket of huge floats may overflow
+        abs_max = np.maximum.accumulate(np.abs(x))
         br = np.concatenate(([x[0] ** 2], x[0] ** 2 + np.cumsum(np.diff(x) ** 2)))
+        abs_max.setflags(write=False)
+        br.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "abs_max", abs_max)
         object.__setattr__(self, "bracket", br)
 
     def __len__(self) -> int:
@@ -134,7 +135,7 @@ def certificate_p1(x) -> BdgCertificate:
         hx=hx,
         fx=None,
         gx=None,
-        lhs1=s.abs_max.copy(),
+        lhs1=s.abs_max,
         rhs1=6.0 * root + 2.0 * hx,
         lhs2=root,
         rhs2=3.0 * s.abs_max - hx,

@@ -569,7 +569,9 @@ def _exp_integral_converge(cfg: ExperimentConfig):
         y = _member(cfg, 1_000_000_000 + i)
         g = integration.step_approximation(x, cfg.integrand_level)
         h = integration.step_approximation(y, cfg.integrand_level)
-        gx, hy = integration.capital_process(g, x), integration.capital_process(h, y)
+        # curve m of the integral of x against itself is capital_process(step m of x, x)
+        mf = integration.model_free_integral(x, x, cfg.integrand_level + 2)
+        gx, hy = mf.curves[cfg.integrand_level], integration.capital_process(h, y)
         gh = _product_step(g, h)
 
         def gap(d):
@@ -580,7 +582,6 @@ def _exp_integral_converge(cfg: ExperimentConfig):
             rhs = integration.stieltjes_integral(gh, quadvar.simple_qcov(x, y, seq), x.horizon)
             return abs(lhs - rhs)
 
-        mf = integration.model_free_integral(x, x, cfg.integrand_level + 2)
         return (*(gap(2.0**-j) for j in js), mf.sup_distances)
 
     *gap_columns, sups = zip(*_each_member(cfg, one))

@@ -33,7 +33,8 @@ import numpy as np
 
 from .bdg import certify_path
 from .partitions import StoppingSequence, _level_sequence, _merge_stops
-from .paths import REL_TOL, SampledPath, _exit_times, _interp, evaluate_many, hitting_time_abs
+from .paths import REL_TOL, SampledPath, _exit_times, _frozen, _interp, evaluate_many
+from .paths import hitting_time_abs
 from .quadvar import _sup_gaps, qv_at, qv_estimate_dyadic, sup_distance
 
 _MAX_VARIATION = 1e12
@@ -51,12 +52,9 @@ class StepProcess:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v, _ = _frozen(self.values, "step values")
         if v.shape != self.seq.times.shape:
             raise ValueError("one value per stop time required")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("step values must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
@@ -144,7 +142,7 @@ def step_approximation(f: SampledPath, m: int) -> StepProcess:
     r = f0 - q * math.floor(f0 / q)
     if not 0.0 <= r < q:
         r = 0.0
-    seq = _level_sequence(f, q, r, f"step:m={m}")
+    seq = _level_sequence(f, q, r)
     return StepProcess(seq, seq.values)
 
 

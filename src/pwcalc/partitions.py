@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import ResourceLimitError, SampledPath, _scratch, evaluate_many
+from .paths import ResourceLimitError, SampledPath, _frozen, _scratch, evaluate_many
 
 MAX_GRID_HITS = 10**8
 
@@ -52,12 +52,10 @@ class StoppingSequence:
     times: np.ndarray
     values: np.ndarray
     horizon: float
-    label: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 1:
+        (t, _), (v, _) = _frozen(self.times, "stop times"), _frozen(self.values, "stop values")
+        if t.shape != v.shape or t.size < 1:
             raise ValueError("times and values must be matching 1-d arrays")
         if t[0] != 0.0:
             raise ValueError("stopping sequences start at time 0")
@@ -65,10 +63,6 @@ class StoppingSequence:
             raise ValueError("stop times must be non-decreasing")
         if t[-1] > self.horizon:
             raise ValueError("stop times must not exceed the horizon")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("stops must be finite")
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -96,8 +90,8 @@ def _merge_stops(times: np.ndarray, stops: np.ndarray):
 def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
     """All successive different-level grid hits of the path, in time order.
 
-    Returns (hit_times, hit_levels, start_level, start_on_grid); levels are
-    int64 grid indices, hit value = level * d + r. hit_times excludes time 0.
+    Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
+    indices, hit value = level * d + r. hit_times excludes time 0.
 
     The path is swept in blocks of _BLOCK segments, so no per-sample
     temporary is longer than a block. Within a block, hits are expanded only
@@ -110,10 +104,9 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
     if max(float(v.max()) - r, r - float(v.min())) / d >= 2.0**53:
         raise ValueError("path values lie 2^53 or more meshes from the grid offset")
     n = t.size - 1
-    j0f = np.round((v[0] - r) / d)
-    start_on_grid = bool(j0f * d + r == v[0])
-    j0 = int(j0f)
-    prev = j0 if start_on_grid else None  # level of the latest stop, if on the grid
+    j0 = np.round((v[0] - r) / d)
+    start_on_grid = bool(j0 * d + r == v[0])
+    prev = int(j0) if start_on_grid else None  # level of the latest stop, if on the grid
     swept = 0
     out_t, out_l = [], []
     rows = _scratch("sweep", _BLOCK + 1, 4)
@@ -198,27 +191,26 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
         out_t.append(ts)
         out_l.append(lev.astype(np.int64))
     if not out_t:
-        return (np.empty(0), np.empty(0, dtype=np.int64), j0, start_on_grid)
-    return np.concatenate(out_t), np.concatenate(out_l), j0, start_on_grid
+        return (np.empty(0), np.empty(0, dtype=np.int64), start_on_grid)
+    return np.concatenate(out_t), np.concatenate(out_l), start_on_grid
 
 
 def lebesgue_sequence(
     path: SampledPath, grid: GridSpec, max_hits: int = MAX_GRID_HITS
 ) -> StoppingSequence:
     """Level sequence of the path on the grid, stop values snapped to it."""
-    d, r = grid.mesh, grid.offset
-    return _level_sequence(path, d, r, f"leb:d={d:.17g},r={r:.17g}", max_hits)
+    return _level_sequence(path, grid.mesh, grid.offset, max_hits)
 
 
-def _level_sequence(path: SampledPath, d: float, r: float, label: str, max_hits=MAX_GRID_HITS):
+def _level_sequence(path: SampledPath, d: float, r: float, max_hits=MAX_GRID_HITS):
     """Stops at 0 and at each grid hit of the path on d*Z + r, values snapped."""
-    ts, lev, _, _ = _grid_hits(path, d, r, max_hits)
+    ts, lev, _ = _grid_hits(path, d, r, max_hits)
     times = np.concatenate(([0.0], ts))
     values = np.empty(times.size)
     values[0] = path.values[0]
     np.multiply(lev, d, out=values[1:])
     values[1:] += r
-    return StoppingSequence(times, values, path.horizon, label=label)
+    return StoppingSequence(times, values, path.horizon)
 
 
 @dataclass(frozen=True)
@@ -258,4 +250,4 @@ def merge(a: StoppingSequence, b: StoppingSequence, path: SampledPath) -> Stoppi
         raise ValueError("merge path horizon must match the sequences")
     times = np.union1d(a.times, b.times)
     values = evaluate_many(path, times)
-    return StoppingSequence(times, values, path.horizon, label=f"merge({a.label},{b.label})")
+    return StoppingSequence(times, values, path.horizon)

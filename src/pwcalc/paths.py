@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,17 +36,39 @@ class ResourceLimitError(RuntimeError):
     """Raised when a construction would materialize too many stops or samples."""
 
 
+def _frozen(a, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """a as a finite 1-d float64 array that no one can write through, and a
+    writeable view of the same memory for readers that copy read-only input.
+
+    An array the caller passes is frozen where it lies, so the caller's own
+    handle to it turns read-only as well. An input that is already read-only
+    (another value's array, or a view whose base someone may still write) is
+    copied first, and so is a strided one, which np.interp would copy.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d array")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    if not (a.flags.writeable and a.flags.c_contiguous):
+        a = a.copy()
+    view = a.view()
+    a.setflags(write=False)
+    return a, view
+
+
 @dataclass(frozen=True)
 class SampledPath:
     """Piecewise-linear trajectory through strictly time-increasing samples."""
 
     times: np.ndarray
     values: np.ndarray
+    # writeable views of times and values: np.interp copies read-only arrays
+    _interp_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
+        (t, rt), (v, rv) = _frozen(self.times, "times"), _frozen(self.values, "values")
+        if t.shape != v.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if t.size < 1:
             raise ValueError("path needs at least one sample")
@@ -54,12 +76,9 @@ class SampledPath:
             raise ValueError("path must start at time 0")
         if t.size > 1 and not np.all(t[1:] > t[:-1]):
             raise ValueError("sample times must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("samples must be finite")
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_interp_args", (rt, rv))
 
     @property
     def horizon(self) -> float:
@@ -88,23 +107,8 @@ def evaluate_many(path: SampledPath, ts: np.ndarray) -> np.ndarray:
 
 
 def _interp(ts, path: SampledPath):
-    """np.interp on the path's samples without copying them.
-
-    np.interp copies read-only inputs, and a path's arrays are read-only, so
-    each call would copy the whole path; it reads through writeable views
-    of the same memory instead. Samples held in memory numpy cannot make
-    writeable are passed as they are.
-    """
-    return np.interp(ts, _readable(path.times), _readable(path.values))
-
-
-def _readable(a: np.ndarray) -> np.ndarray:
-    v = a.view()
-    try:
-        v.setflags(write=True)
-    except ValueError:
-        return a
-    return v
+    """np.interp on the path's samples, read in place."""
+    return np.interp(ts, *path._interp_args)
 
 
 def hitting_time_abs(path: SampledPath, threshold: float) -> float:

@@ -25,13 +25,6 @@ from .paths import REL_TOL, SampledPath, _interp, evaluate_many
 
 
 @dataclass(frozen=True)
-class QvCurve(SampledPath):
-    """Quadratic (co)variation curve tagged with the generating sequence."""
-
-    seq_id: str = ""
-
-
-@dataclass(frozen=True)
 class CheckReport:
     lhs: float
     rhs: float
@@ -86,22 +79,22 @@ def _qcov_along(x: SampledPath, y: SampledPath, seq: StoppingSequence, ts, idx):
     return cum[idx] + (evaluate_many(x, ts) - wx[idx]) * (evaluate_many(y, ts) - wy[idx])
 
 
-def simple_qv(path: SampledPath, seq: StoppingSequence) -> QvCurve:
+def simple_qv(path: SampledPath, seq: StoppingSequence) -> SampledPath:
     """Simple quadratic variation curve of the path along seq."""
     if seq.horizon != path.horizon:
         raise ValueError("sequence horizon must match the path")
     stamps, idx = _merge_stops(path.times, seq.times)
-    return QvCurve(stamps, _qv_along(path, seq, stamps, idx), seq_id=seq.label)
+    return SampledPath(stamps, _qv_along(path, seq, stamps, idx))
 
 
-def simple_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> QvCurve:
+def simple_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> SampledPath:
     """Simple quadratic covariation curve of x and y along seq."""
     if x.horizon != y.horizon:
         raise ValueError("paths must share a horizon")
     if seq.horizon != x.horizon:
         raise ValueError("sequence horizon must match the paths")
     stamps, idx = _merge_stops(np.union1d(x.times, y.times), seq.times)
-    return QvCurve(stamps, _qcov_along(x, y, seq, stamps, idx), seq_id=seq.label)
+    return SampledPath(stamps, _qcov_along(x, y, seq, stamps, idx))
 
 
 def merge_error_bound_check(
@@ -131,7 +124,7 @@ def merge_error_bound_check(
     return CheckReport(lhs=lhs, rhs=rhs, holds=_ineq_holds(lhs, rhs))
 
 
-def qv_estimate_dyadic(path: SampledPath, m_max: int) -> list[QvCurve]:
+def qv_estimate_dyadic(path: SampledPath, m_max: int) -> list[SampledPath]:
     """Simple qv curves along level sequences at meshes 2^0, ..., 2^-m_max."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
@@ -157,17 +150,15 @@ def _sup_gaps(a: SampledPath, b: SampledPath, ts) -> np.ndarray:
     stamps up to t, and the gap at t. Each curve's stamps between two
     consecutive t are reduced once.
     """
-    sups, at_t = [], []
+    sups = []
     for c, d in ((a, b), (b, a)):
         gap = _interp(c.times, d)
         np.subtract(c.values, gap, out=gap)
         np.abs(gap, out=gap)
         worst, lo = 0.0, 0
-        for t, hi in zip(ts, np.searchsorted(c.times, ts, side="right").tolist()):
+        for hi in np.searchsorted(c.times, ts, side="right").tolist():
             if hi > lo:
                 worst, lo = max(worst, float(gap[lo:hi].max())), hi
             sups.append(worst)
-            # c(t) from the stamps around t: np.interp copies a read-only curve whole
-            at_t.append(np.interp(t, c.times[hi - 1 : hi + 1], c.values[hi - 1 : hi + 1]))
-    sups, at_t = np.reshape(sups, (2, -1)), np.reshape(at_t, (2, -1))
-    return np.maximum(np.maximum(sups[0], sups[1]), np.abs(at_t[0] - at_t[1]))
+    sups = np.reshape(sups, (2, -1))
+    return np.maximum(np.maximum(sups[0], sups[1]), np.abs(_interp(ts, a) - _interp(ts, b)))

@@ -200,7 +200,7 @@ def transition_count(path: SampledPath, grid: GridSpec, t: float | None = None) 
     """
     if t is not None and np.isnan(t):
         raise ValueError("t must not be NaN")
-    ts, _, _, on_grid = _grid_hits(path, grid.mesh, grid.offset)
+    ts, _, on_grid = _grid_hits(path, grid.mesh, grid.offset)
     upto = path.horizon if t is None else t
     h = int(np.searchsorted(ts, upto, side="right"))
     if h == 0:

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from pwcalc import (
     INFINITE_TIME,
+    DiscreteSequence,
     ExperimentConfig,
     GridSpec,
     PathGeneratorConfig,
     ResourceLimitError,
     SampledPath,
+    StepProcess,
+    StoppingSequence,
+    capital_process,
     evaluate,
     evaluate_many,
     generate,
@@ -23,6 +27,8 @@ from pwcalc import (
     qv_at,
     harness,
     run,
+    simple_qv,
+    step_approximation,
 )
 from pwcalc.paths import _exit_times, _level_values
 
@@ -51,6 +57,99 @@ def test_single_sample_path():
     assert p.horizon == 0.0
     assert len(p) == 1
     assert evaluate(p, 0.0) == 2.5
+
+
+def _inputs(kind):
+    """Fresh writeable arrays for one value of the kind."""
+    t, v = np.asarray([0.0, 1.0, 2.0]), np.asarray([0.0, 1.0, -1.0])
+    return (t, v) if kind in ("path", "stops") else (v,)
+
+
+def _build(kind, arrays):
+    if kind == "path":
+        return SampledPath(*arrays)
+    if kind == "stops":
+        return StoppingSequence(*arrays, 2.0)
+    if kind == "step":
+        return StepProcess(StoppingSequence(np.asarray([0.0, 1.0, 2.0]), np.zeros(3), 2.0), *arrays)
+    return DiscreteSequence(*arrays)
+
+
+def _held(value):
+    names = ("times", "values", "x", "abs_max", "bracket")
+    return [getattr(value, n) for n in names if hasattr(value, n)]
+
+
+@pytest.mark.parametrize("kind", ["path", "stops", "step", "sequence"])
+def test_no_caller_can_mutate_a_value(kind):
+    inputs = _inputs(kind)
+    value = _build(kind, inputs)
+    held = _held(value)
+    # the value's arrays and the caller's are one frozen memory
+    assert all(np.shares_memory(a, b) for a, b in zip(held, inputs))
+    for a in held + list(inputs):
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+    # a read-only input is accepted, and its writeable base cannot reach the value
+    bases = _inputs(kind)
+    views = [b.view() for b in bases]
+    for view in views:
+        view.setflags(write=False)
+    again = _build(kind, views)
+    for b in bases:
+        b[0] = 5.0
+    assert all(np.array_equal(a, b) for a, b in zip(_held(again), held))
+
+
+def test_derived_sequence_arrays_are_not_arguments():
+    with pytest.raises(TypeError):
+        DiscreteSequence(np.zeros(2), abs_max=np.ones(2))
+    with pytest.raises(TypeError):
+        DiscreteSequence(np.zeros(2), bracket=np.ones(2))
+
+
+def _chord():
+    return generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=5))
+
+
+def _bridge():
+    return generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=5, bridge_grid=(0.25, 0.0)))
+
+
+def _read_only_samples():
+    t, v = np.linspace(0.0, 1.0, 9), np.cos(np.arange(9.0))
+    t.setflags(write=False)
+    v.setflags(write=False)
+    return SampledPath(t, v)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _chord,
+        _bridge,
+        lambda: simple_qv(_chord(), lebesgue_sequence(_chord(), GridSpec(2.0**-3))),
+        lambda: capital_process(step_approximation(_chord(), 3), _chord()),
+        _read_only_samples,
+        lambda: SampledPath(np.linspace(0.0, 1.0, 17)[::2], np.arange(9.0)[::-1]),
+    ],
+    ids=["chord", "bridge", "qv-curve", "capital", "read-only-input", "strided-input"],
+)
+def test_interp_reads_the_samples_in_place(make, monkeypatch):
+    # np.interp copies an argument it cannot write, a whole curve per call
+    path, seen, interp = make(), [], np.interp
+
+    def spy(x, xp, fp, *args, **kwargs):
+        seen.append((xp, fp))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    evaluate_many(path, np.asarray([0.0, 0.3, path.horizon]))
+    evaluate(path, 0.5)
+    assert len(seen) == 2
+    for xp, fp in seen:
+        assert xp.flags.writeable and fp.flags.writeable
+        assert np.shares_memory(xp, path.times) and np.shares_memory(fp, path.values)
 
 
 def test_evaluate_exact_at_samples_and_linear_between():

@@ -51,7 +51,6 @@ def polarization_qcov(x, y, seq):
 def test_qv_unit_grid_zigzag():
     curve = simple_qv(ZIGZAG3, UNIT)
     assert evaluate(curve, 3.0) == 3.0
-    assert curve.seq_id == UNIT.label
     # partial increment past the last stop counts quadratically
     at = qv_at(ZIGZAG3, UNIT, np.asarray([0.5, 1.5, 3.0]))
     assert np.array_equal(at, [0.25, 1.25, 3.0])
@@ -67,9 +66,16 @@ def test_qv_dyadic_line():
     curves = qv_estimate_dyadic(LINE01, 3)
     finals = [float(c.values[-1]) for c in curves]
     assert finals == [1.0, 0.5, 0.25, 0.125]
-    assert [c.seq_id for c in curves] == [f"leb:d={2.0**-m:.17g},r=0" for m in range(4)]
     with pytest.raises(ValueError):
         qv_estimate_dyadic(LINE01, -1)
+
+
+@pytest.mark.parametrize("x", [LINE01, _wiener(3)], ids=["line", "wiener"])
+def test_qv_dyadic_curve_k_is_the_qv_along_grid_k(x):
+    for k, curve in enumerate(qv_estimate_dyadic(x, 3)):
+        ref = simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-k)))
+        assert curve.times.tobytes() == ref.times.tobytes()
+        assert curve.values.tobytes() == ref.values.tobytes()
 
 
 def test_simple_qv_horizon_mismatch():

@@ -24,6 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from . import bdg, integration, partitions, paths, quadvar, truncvar
 from .partitions import GridSpec, StoppingSequence, lebesgue_sequence
 from .paths import (
@@ -582,9 +587,10 @@ def _exp_integral_converge(cfg: ExperimentConfig):
             rhs = integration.stieltjes_integral(gh, quadvar.simple_qcov(x, y, seq), x.horizon)
             return abs(lhs - rhs)
 
-        return (*(gap(2.0**-j) for j in js), mf.sup_distances)
+        local = _localization_check(x, cfg.integrand_level + 2) if i == 0 else None
+        return (*(gap(2.0**-j) for j in js), mf.sup_distances, local)
 
-    *gap_columns, sups = zip(*_each_member(cfg, one))
+    *gap_columns, sups, local = zip(*_each_member(cfg, one))
     medians = _medians(js, gap_columns)
     cmed = [_median(col) for col in zip(*sups)]
     checks = [
@@ -600,18 +606,21 @@ def _exp_integral_converge(cfg: ExperimentConfig):
             bool(_non_increasing(cmed)),
             {"medians": [float(v) for v in cmed]},
         ),
+        local[0],
     ]
-    # localization consistency is pathwise: any disagreement raises
-    x0 = _member(cfg, 0)
-    try:
-        integration.localized_integral(x0, x0, [1.0, 2.0, 4.0], cfg.integrand_level + 2)
-        checks.append(Check("localization-consistent", "pathwise", True, {}))
-    except integration.ConsistencyError as exc:
-        checks.append(Check("localization-consistent", "pathwise", False, {"error": str(exc)}))
     return checks, {
         "covariation": [{"j": j, "median_gap": v} for j, v in medians.items()],
         "cauchy": [{"m": m, "median_sup_gap": v} for m, v in enumerate(cmed)],
     }
+
+
+def _localization_check(x: SampledPath, m_max: int) -> Check:
+    # localization consistency is pathwise: any disagreement raises
+    try:
+        integration.localized_integral(x, x, [1.0, 2.0, 4.0], m_max)
+    except integration.ConsistencyError as exc:
+        return Check("localization-consistent", "pathwise", False, {"error": str(exc)})
+    return Check("localization-consistent", "pathwise", True, {})
 
 
 def _product_step(g: integration.StepProcess, h: integration.StepProcess):
@@ -686,14 +695,21 @@ _EXPERIMENT_FNS = {
 
 def run(config: ExperimentConfig) -> Report:
     """Run one experiment; deterministic for a fixed config and seed."""
-    started = time.time()
+    started, faults = time.time(), _minor_faults()
     checks, tables = _EXPERIMENT_FNS[config.experiment](config)
     if config.oracle:
         checks.extend(_oracle_checks(config))
     report = Report(config.experiment, config, checks, tables)
     if config.output_dir:
-        _write_artifacts(report, config.output_dir, time.time() - started)
+        if faults is not None:
+            faults = _minor_faults() - faults
+        _write_artifacts(report, config.output_dir, time.time() - started, faults)
     return report
+
+
+def _minor_faults() -> int | None:
+    """Minor page faults of this process so far, or None without resource."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _oracle_checks(cfg: ExperimentConfig) -> list:
@@ -725,7 +741,9 @@ def _oracle_checks(cfg: ExperimentConfig) -> list:
 # artifacts
 
 
-def _write_artifacts(report: Report, out_dir: str, duration: float) -> None:
+def _write_artifacts(
+    report: Report, out_dir: str, duration: float, minor_faults: int | None
+) -> None:
     os.makedirs(out_dir, exist_ok=True)
     doc = report.to_json_dict()
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -737,6 +755,8 @@ def _write_artifacts(report: Report, out_dir: str, duration: float) -> None:
         "numpy": np.__version__,
         "workers": _ensemble_workers(report.config),
     }
+    if minor_faults is not None:
+        meta["minor_faults"] = minor_faults
     with open(os.path.join(out_dir, "run_metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

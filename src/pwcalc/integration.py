@@ -227,7 +227,13 @@ def localized_integral(
     if not levels or levels[0] <= 0.0:
         raise ValueError("localization levels must be positive")
     sigmas = np.minimum(_exit_times(f, levels), f.horizon).tolist()
-    curves = [capital_process(step_approximation(_stopped_path(f, s), m_max), x) for s in sigmas]
+    # every level whose sigma reaches the horizon stops f at the horizon: one
+    # curve per distinct sigma
+    built = {}
+    for s in sigmas:
+        if s not in built:
+            built[s] = capital_process(step_approximation(_stopped_path(f, s), m_max), x)
+    curves = [built[s] for s in sigmas]
     gaps = []
     for i in range(len(curves) - 1):
         gap = float(_sup_gaps(curves[i], curves[i + 1], [sigmas[i]])[0])

@@ -12,6 +12,7 @@ which compares above every finite time.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 import threading
@@ -480,14 +481,49 @@ def _scratch(name: str, n: int, count: int, dtype=np.float64) -> np.ndarray:
 
     A long temporary is mapped in anew each time it is allocated, and every
     page of it faulted in again; at these sizes that costs more than the
-    arithmetic. Callers overwrite what they read, so no result depends on
-    what an earlier call left behind.
+    arithmetic. The allocator policy set at import (_retain_freed_memory:
+    glibc takes blocks up to 32 MiB from its heap and keeps up to 64 MiB of
+    freed heap top) spares every other array that refault, but scratch rows
+    stay: a kernel that works in place on them makes no per-block
+    temporaries, which also bounds its peak traced memory (certificate_p
+    holds only its O(K) outputs beyond the rows, as
+    test_certificate_p_memory_stays_bounded pins). Callers overwrite what
+    they read, so no result depends on what an earlier call left behind.
     """
     rows = getattr(_scratch_arrays, name, None)
     if rows is None or rows.shape[1] < n:
         rows = np.empty((count, n), dtype=dtype)
         setattr(_scratch_arrays, name, rows)
     return rows
+
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_memory() -> None:
+    """Keep freed array memory in the process, where glibc's mallopt exists.
+
+    Curves, merged stamps, grid hits and bridge buffers are fresh arrays of
+    0.1-4 MB, made and dropped once or more per member. By default glibc
+    maps such a block in on its own and unmaps it when it is freed, or trims
+    the heap top back to the kernel, so the next member faults every page in
+    again (about 64k minor faults per grid-qv bench pass at one thread). With
+    blocks up to 32 MiB taken from the heap, and the heap trimmed only past
+    64 MiB of free top, freed pages are reused instead. No arithmetic changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_retain_freed_memory()
 
 
 _H0 = np.uint32(0x85EBCA6B)

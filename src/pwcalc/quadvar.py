@@ -93,7 +93,9 @@ def simple_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> Sample
         raise ValueError("paths must share a horizon")
     if seq.horizon != x.horizon:
         raise ValueError("sequence horizon must match the paths")
-    stamps, idx = _merge_stops(np.union1d(x.times, y.times), seq.times)
+    # the union of two equal, strictly increasing grids is either of them
+    tx, ty = x.times, y.times
+    stamps, idx = _merge_stops(tx if np.array_equal(tx, ty) else np.union1d(tx, ty), seq.times)
     return SampledPath(stamps, _qcov_along(x, y, seq, stamps, idx))
 
 

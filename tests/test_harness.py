@@ -158,6 +158,19 @@ def test_run_metadata_records_workers(monkeypatch, pool_sizes, tmp_path):
     assert docs[0] == docs[1] and b"workers" not in docs[0]
 
 
+def test_run_metadata_records_minor_faults(monkeypatch, tmp_path):
+    # the faults counted across run go to run_metadata.json, never into
+    # report.json, and are left out where resource is missing
+    cfg = _tiny("integral-converge", ensemble_size=1, m_lo=4, m_hi=5, output_dir=str(tmp_path))
+    run(cfg)
+    meta = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert isinstance(meta["minor_faults"], int) and meta["minor_faults"] >= 0
+    assert b"minor_faults" not in (tmp_path / "report.json").read_bytes()
+    monkeypatch.setattr(harness, "resource", None)
+    run(cfg)
+    assert "minor_faults" not in json.loads((tmp_path / "run_metadata.json").read_text())
+
+
 def test_bdg_certify_certifies_p1_once_per_member(monkeypatch):
     # one p = 1 certificate and one sigma per member serve the rows and both
     # witness checks, also when p_list lacks 1.0
@@ -177,6 +190,17 @@ def test_bdg_certify_certifies_p1_once_per_member(monkeypatch):
         calls.update(certify=0, sigma=0)
         assert run(_tiny("bdg-certify", ensemble_size=3, p_list=p_list)).pathwise_ok
         assert calls == {"certify": 3 * per_member, "sigma": 3}
+
+
+def test_integral_converge_draws_each_member_once(monkeypatch):
+    # the localisation check runs on member 0 as the ensemble hands it over
+    seeds = []
+    generate = harness.generate
+    monkeypatch.setattr(harness, "generate", lambda g: seeds.append(g.seed) or generate(g))
+    rep = run(_tiny("integral-converge", ensemble_size=2, m_lo=4, m_hi=5))
+    assert sorted(seeds) == [0, 1, 1_000_000_000, 1_000_000_001]
+    assert [c.name for c in rep.checks][-1] == "localization-consistent"
+    assert rep.pathwise_ok
 
 
 def test_bdg_certify_smoke():

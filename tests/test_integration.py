@@ -30,6 +30,10 @@ from pwcalc import (
     witness_identity_gap,
     witness_strategy_qv,
 )
+from pwcalc import integration
+from pwcalc.integration import _stopped_path
+from pwcalc.paths import _exit_times
+from pwcalc.quadvar import _sup_gaps
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -207,6 +211,32 @@ def test_localized_integral_consistency():
         localized_integral(LINE01, LINE01, [], 3)
     with pytest.raises(ValueError):
         localized_integral(LINE01, LINE01, [-1.0], 3)
+
+
+def _localized_reference(f, x, levels, m_max):
+    """(curve, sigmas, gaps) of localized_integral, one curve built per level."""
+    sigmas = np.minimum(_exit_times(f, levels), f.horizon).tolist()
+    curves = [capital_process(step_approximation(_stopped_path(f, s), m_max), x) for s in sigmas]
+    gaps = [float(_sup_gaps(a, b, [s])[0]) for a, b, s in zip(curves, curves[1:], sigmas)]
+    return curves[-1], sigmas, gaps
+
+
+@pytest.mark.parametrize("levels, distinct", [([1.0, 2.0, 4.0], 2), ([0.5, 1.0, 1.25], 3)])
+def test_localized_integral_builds_one_curve_per_sigma(monkeypatch, levels, distinct):
+    # max |f| = 1.5, so sigma(f, 2) = sigma(f, 4) = horizon: both stop f at
+    # the horizon, which is f itself
+    w = _wiener(8, step=2.0**-10)
+    f = SampledPath(w.times, w.values * (1.5 / np.max(np.abs(w.values))))
+    curve, sigmas, gaps = _localized_reference(f, f, levels, 5)
+    built = []
+    monkeypatch.setattr(
+        integration, "step_approximation", lambda g, m: built.append(g) or step_approximation(g, m)
+    )
+    res = localized_integral(f, f, levels, 5)
+    assert len(built) == distinct
+    assert res.sigmas == sigmas and res.gaps == gaps
+    assert res.curve.times.tobytes() == curve.times.tobytes()
+    assert res.curve.values.tobytes() == curve.values.tobytes()
 
 
 def test_consistency_error_is_runtime_error():

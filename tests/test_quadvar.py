@@ -14,6 +14,7 @@ from pwcalc import (
     evaluate_many,
     generate,
     lebesgue_sequence,
+    merge,
     merge_error_bound_check,
     qv_at,
     qv_estimate_dyadic,
@@ -22,7 +23,8 @@ from pwcalc import (
     sup_distance,
 )
 from pwcalc.paths import _interp
-from pwcalc.quadvar import _sup_gaps, qcov_at
+from pwcalc.partitions import _merge_stops
+from pwcalc.quadvar import _qcov_along, _sup_gaps, qcov_at
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -109,6 +111,23 @@ def test_polarization_identity(seed, d):
     seq = lebesgue_sequence(x, GridSpec(d, 0.0))
     gap = sup_distance(simple_qcov(x, y, seq), polarization_qcov(x, y, seq))
     assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("step_y", [2.0**-8, 1.0 / 200], ids=["equal-grids", "different-grids"])
+def test_qcov_stamps_are_bitwise_the_union(monkeypatch, step_y):
+    # equal grids are their own union, so their union is not sorted again
+    x, y = _wiener(4), generate(PathGeneratorConfig("wiener", step=step_y, seed=5))
+    grid = GridSpec(0.05, 0.025)
+    seq = merge(lebesgue_sequence(x, grid), lebesgue_sequence(y, grid), x)
+    stamps, idx = _merge_stops(np.union1d(x.times, y.times), seq.times)
+    values = _qcov_along(x, y, seq, stamps, idx)
+    unions = []
+    union1d = np.union1d
+    monkeypatch.setattr(np, "union1d", lambda a, b: unions.append(1) or union1d(a, b))
+    curve = simple_qcov(x, y, seq)
+    assert curve.times.tobytes() == stamps.tobytes()
+    assert curve.values.tobytes() == values.tobytes()
+    assert len(unions) == (step_y != 2.0**-8)
 
 
 def test_merge_error_bound_zigzag_and_wiener():

@@ -39,7 +39,7 @@ from .paths import (
     generate,
     hitting_time_abs,
 )
-from .quadvar import qv_at, simple_qv, sup_distance
+from .quadvar import simple_qv, sup_distance
 
 SCHEMA_VERSION = 1
 
@@ -338,8 +338,10 @@ def _non_increasing(values) -> bool:
 
 
 def _terminal_qv(x: SampledPath, grid: GridSpec) -> float:
-    """Simple QV of x at its horizon along its level sequence on grid."""
-    return float(qv_at(x, lebesgue_sequence(x, grid), np.asarray([x.horizon]))[0])
+    """Simple QV of x at its horizon along its level sequence on grid; the
+    last stop is the one at or before the horizon."""
+    w = partitions._stop_values(x, grid.mesh, grid.offset)
+    return float(quadvar._qv_along(x, w, np.asarray([x.horizon]), np.asarray([w.size - 1]))[0])
 
 
 # --------------------------------------------------------------------------
@@ -403,9 +405,17 @@ def _exp_qv_converge(cfg: ExperimentConfig):
     level = ms[-2] if len(ms) > 1 else ms[-1]
 
     def one(i, x):
-        curves = [simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-m, 0.0))) for m in ms]
-        gaps = [sup_distance(a, b) for a, b in zip(curves, curves[1:])]
-        return (*gaps, float(curves[level - ms[0]].values[-1]))
+        # one curve at a time beside its predecessor: a member's curves are
+        # each as long as the member
+        gaps, prev = [], None
+        for m in ms:
+            curve = simple_qv(x, lebesgue_sequence(x, GridSpec(2.0**-m, 0.0)))
+            if prev is not None:
+                gaps.append(sup_distance(prev, curve))
+            if m == level:
+                terminal = float(curve.values[-1])
+            prev = curve
+        return (*gaps, terminal)
 
     *gap_columns, terminal = zip(*_each_member(cfg, one))
     medians = _medians(ms[:-1], gap_columns)
@@ -542,9 +552,9 @@ def _exp_bdg_mc(cfg: ExperimentConfig):
     grid = GridSpec(0.05, 0.0)
 
     def one(i, x):
-        seq = lebesgue_sequence(x, grid)
-        w = seq.values - seq.values[0]
-        s = bdg.DiscreteSequence(np.append(w, x.values[-1] - seq.values[0]))
+        w = partitions._stop_values(x, grid.mesh, grid.offset)
+        w -= w[0]
+        s = bdg.DiscreteSequence(np.append(w, x.values[-1] - x.values[0]))
         return float(s.abs_max[-1]), float(s.bracket[-1])
 
     xs, br = (np.asarray(col) for col in zip(*_each_member(cfg, one)))
@@ -572,11 +582,12 @@ def _exp_integral_converge(cfg: ExperimentConfig):
 
     def one(i, x):
         y = _member(cfg, 1_000_000_000 + i)
-        g = integration.step_approximation(x, cfg.integrand_level)
         h = integration.step_approximation(y, cfg.integrand_level)
-        # curve m of the integral of x against itself is capital_process(step m of x, x)
+        # g, the step approximation of x, and its capital curve against x are
+        # those the integral of x against itself builds
         mf = integration.model_free_integral(x, x, cfg.integrand_level + 2)
-        gx, hy = mf.curves[cfg.integrand_level], integration.capital_process(h, y)
+        g, gx = mf.steps[cfg.integrand_level], mf.curves[cfg.integrand_level]
+        hy = integration.capital_process(h, y)
         gh = _product_step(g, h)
 
         def gap(d):

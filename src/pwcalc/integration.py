@@ -148,10 +148,12 @@ def step_approximation(f: SampledPath, m: int) -> StepProcess:
 
 @dataclass(frozen=True)
 class ModelFreeResult:
-    """Capital curves of successive step approximations, with Cauchy gaps."""
+    """Capital curves of successive step approximations, with Cauchy gaps;
+    steps[m] is the step approximation curves[m] integrates."""
 
     curves: list
     sup_distances: list
+    steps: list
 
 
 def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFreeResult:
@@ -160,9 +162,10 @@ def model_free_integral(f: SampledPath, x: SampledPath, m_max: int) -> ModelFree
         raise ValueError("integrand and integrator horizons differ")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    curves = [capital_process(step_approximation(f, m), x) for m in range(m_max + 1)]
+    steps = [step_approximation(f, m) for m in range(m_max + 1)]
+    curves = [capital_process(g, x) for g in steps]
     gaps = [sup_distance(curves[i], curves[i + 1]) for i in range(len(curves) - 1)]
-    return ModelFreeResult(curves=curves, sup_distances=gaps)
+    return ModelFreeResult(curves=curves, sup_distances=gaps, steps=steps)
 
 
 def _left_values(g, mesh: np.ndarray) -> np.ndarray:
@@ -236,7 +239,14 @@ def localized_integral(
     curves = [built[s] for s in sigmas]
     gaps = []
     for i in range(len(curves) - 1):
-        gap = float(_sup_gaps(curves[i], curves[i + 1], [sigmas[i]])[0])
+        if curves[i] is curves[i + 1]:
+            # a curve takes its own values at its stamps, so of _sup_gaps
+            # only the gap at sigma is left: 0, or NaN where the curve
+            # overflows there
+            at = float(_interp(sigmas[i], curves[i]))
+            gap = abs(at - at)
+        else:
+            gap = float(_sup_gaps(curves[i], curves[i + 1], [sigmas[i]])[0])
         gaps.append(gap)
         scale = 1.0 + float(np.max(np.abs(curves[i].values)))
         if gap > REL_TOL * scale:

@@ -6,10 +6,12 @@ previous stop. On a continuous path consecutive stop values are adjacent grid
 levels, so stop values are snapped to exact k*d + r floats; the one exception
 is the initial value, which is the raw X_0 whether or not it lies on the grid.
 
-All hits are extracted in one vectorized pass: each linear segment owns the
-grid levels it sweeps strictly after its start sample (so a sample lying
-exactly on a level belongs to the segment that ends there), and re-touches of
-the current level are dropped. A hit exactly on a level counts as reaching it.
+All hits are extracted in one vectorized pass, for one mesh and any number of
+offsets at once: each linear segment owns the grid levels it sweeps strictly
+after its start sample (so a sample lying exactly on a level belongs to the
+segment that ends there), and re-touches of the current level are dropped. A
+hit exactly on a level counts as reaching it. Hit times are solved only by
+the readers that need them.
 """
 
 from __future__ import annotations
@@ -87,56 +89,94 @@ def _merge_stops(times: np.ndarray, stops: np.ndarray):
     return merged[last], idx[last]
 
 
-def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
-    """All successive different-level grid hits of the path, in time order.
+def _level_runs(path: SampledPath, d: float, offsets, max_hits: int = MAX_GRID_HITS):
+    """The grid sweep: the level runs of the path on d*Z + r for each r of offsets.
 
-    Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
-    indices, hit value = level * d + r. hit_times excludes time 0.
+    Returns (start_on_grid, runs). start_on_grid[k] says whether X_0 lies on
+    grid k. runs yields, block by block and offset by offset, (k, seg, cnt,
+    first, step): offset k's runs of the block in time order, run i hitting
+    the cnt[i] levels first[i], first[i] + step[i], ... on segment seg[i],
+    with step[i] = +1 or -1. A run hits every level its segment sweeps
+    strictly after its start sample, less a re-touch of the level of the
+    latest stop, so no two consecutive hits share a level. The arrays are
+    fresh, but the sweep works in this thread's scratch rows: consume one
+    sweep before starting another.
 
-    The path is swept in blocks of _BLOCK segments, so no per-sample
-    temporary is longer than a block. Within a block, hits are expanded only
-    after re-touches of the current level are dropped. The resource limit is
-    checked on the running count of swept levels before a block's hits are
-    expanded.
+    The path is swept in blocks of about _BLOCK / len(offsets) segments, so
+    no temporary holds more cells than a single-offset block of _BLOCK
+    segments. The resource limit is checked per offset, on its running
+    count of swept levels, before a block's runs are yielded.
     """
-    t, v = path.times, path.values
-    # level indices are exact floats, and fit in int64, below 2^53
-    if max(float(v.max()) - r, r - float(v.min())) / d >= 2.0**53:
-        raise ValueError("path values lie 2^53 or more meshes from the grid offset")
-    n = t.size - 1
-    j0 = np.round((v[0] - r) / d)
-    start_on_grid = bool(j0 * d + r == v[0])
-    prev = int(j0) if start_on_grid else None  # level of the latest stop, if on the grid
-    swept = 0
-    out_t, out_l = [], []
-    rows = _scratch("sweep", _BLOCK + 1, 4)
-    per_seg = _scratch("sweep-seg", _BLOCK, 4)
-    flags = _scratch("sweep-flags", _BLOCK, 2, bool)
-    for b in range(0, n, _BLOCK):
-        nb = min(n, b + _BLOCK) - b
-        lo, hi, rise, cnt = (x[: nb + 1] for x in rows)
-        np.subtract(v[b : b + nb + 1], r, out=lo)
-        lo /= d
+    v, offsets = path.values, list(offsets)
+    vmax, vmin, v0 = float(v.max()), float(v.min()), float(v[0])
+    start_on_grid, prev = [], []
+    for r in offsets:
+        # level indices are exact floats, and fit in int64, below 2^53
+        if max(vmax - r, r - vmin) / d >= 2.0**53:
+            raise ValueError("path values lie 2^53 or more meshes from the grid offset")
+        j0 = round((v0 - r) / d)
+        start_on_grid.append(j0 * d + r == v0)
+        # the level of the offset's latest stop, if on the grid
+        prev.append(j0 if start_on_grid[-1] else None)
+    return start_on_grid, _runs(v, d, offsets, prev, max_hits)
+
+
+def _row_bounds(cells: np.ndarray, rows: int, width: int) -> list:
+    """bounds such that cells[bounds[k]:bounds[k + 1]] lie in row k, for
+    sorted flat indices into rows of width cells."""
+    if rows == 1:  # no search: a single-offset sweep pays nothing for the rows
+        return [0, cells.size]
+    return np.searchsorted(cells, np.arange(rows + 1) * width).tolist()
+
+
+def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
+    """_level_runs' blocks, given each offset's latest stop level."""
+    n, rows = v.size - 1, len(offsets)
+    # segments per block: a block of every offset fits the rows of one
+    # single-offset block, so the scratch rows never grow
+    size = max(1, (_BLOCK + 1) // rows - 1)
+    swept = [0] * rows
+    # one row of cells per offset, one column per sample; the last column
+    # starts no segment
+    cells = _scratch("sweep", rows * (size + 1), 4)
+    per_seg = _scratch("sweep-seg", rows * size, 4)
+    flags = _scratch("sweep-flags", rows * (size + 1), 2, bool)
+    for b in range(0, n, size):
+        nb = min(n, b + size) - b
+        width = nb + 1
+        lo, hi, rise, cnt = (x[: rows * width] for x in cells)
+        for k, r in enumerate(offsets):
+            row = lo[k * width : (k + 1) * width]
+            if r:
+                np.subtract(v[b : b + width], r, out=row)
+                row /= d
+            else:  # v - 0.0 is v, bit for bit: one pass fewer
+                np.divide(v[b : b + width], d, out=row)
         np.ceil(lo, out=hi)
         np.floor(lo, out=lo)
         # a segment going up sweeps floor(a)+1 .. floor(b), going down
         # ceil(a)-1 .. ceil(b)
-        rise, cnt = rise[:nb], cnt[:nb]
-        np.subtract(lo[1:], lo[:-1], out=rise)
-        np.subtract(hi[:-1], hi[1:], out=cnt)
-        np.maximum(cnt, rise, out=cnt)
-        np.greater(cnt, 0.0, out=flags[0][:nb])
-        seg = np.flatnonzero(flags[0][:nb])
+        np.subtract(lo[1:], lo[:-1], out=rise[:-1])
+        np.subtract(hi[:-1], hi[1:], out=cnt[:-1])
+        np.maximum(cnt[:-1], rise[:-1], out=cnt[:-1])
+        cnt[nb::width] = 0.0
+        crosses = flags[0][: rows * width]
+        np.greater(cnt, 0.0, out=crosses)
+        seg = np.flatnonzero(crosses)
         if seg.size == 0:
             continue
+        at = _row_bounds(seg, rows, width)
+        live = [k for k in range(rows) if at[k] < at[k + 1]]
         c, step, first, last = (x[: seg.size] for x in per_seg)
         up, again = (x[: seg.size] for x in flags)
         np.take(cnt, seg, out=c, mode="clip")
-        swept += int(c.sum())
-        if swept > max_hits:
-            raise ResourceLimitError(
-                f"grid hit extraction would produce over {swept:.3g} stops (limit {max_hits:g})"
-            )
+        for k in live:
+            swept[k] += int(c[at[k] : at[k + 1]].sum())
+            if swept[k] > max_hits:
+                raise ResourceLimitError(
+                    f"grid hit extraction would produce over {swept[k]:.3g} stops "
+                    f"(limit {max_hits:g})"
+                )
         np.take(rise, seg, out=step, mode="clip")
         np.greater(step, 0.0, out=up)
         np.take(lo, seg, out=first, mode="clip")
@@ -152,9 +192,10 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
         np.subtract(c, 1.0, out=last)
         last *= step
         last += first
-        again[0] = prev is not None and first[0] == prev
         np.equal(first[1:], last[:-1], out=again[1:])
-        prev = int(last[-1])
+        for k in live:
+            again[at[k]] = prev[k] is not None and first[at[k]] == prev[k]
+            prev[k] = int(last[at[k + 1] - 1])
         c -= again
         np.multiply(again, step, out=last)
         first += last
@@ -163,36 +204,80 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
         if keep.size == 0:
             continue
         seg = seg[keep]
-        seg += b
-        cnt = c[keep].astype(np.int64)
-        step = step[keep]
-        first = first[keep]
-        # kept hit i of the block has level first[s] + step[s] * (i - start[s])
-        start = np.cumsum(cnt)
-        start -= cnt
-        first -= step * start
-        own = np.repeat(np.arange(seg.size), cnt)
-        buf = np.take(step, own)
-        lev = np.arange(own.size, dtype=np.float64)
-        lev *= buf
-        lev += np.take(first, own, out=buf, mode="clip")
-        t1, v1 = t[seg + 1], v[seg + 1]
-        t0, v0 = t[seg], v[seg]
-        ts = lev * d
-        ts += r
-        ts -= np.take(v0, own, out=buf, mode="clip")
-        v1 -= v0
-        ts /= np.take(v1, own, out=buf, mode="clip")
-        np.subtract(t1, t0, out=v1)
-        ts *= np.take(v1, own, out=buf, mode="clip")
-        ts += np.take(t0, own, out=buf, mode="clip")
-        np.maximum(ts, buf, out=ts)
-        np.minimum(ts, np.take(t1, own, out=buf, mode="clip"), out=ts)
-        out_t.append(ts)
+        at = _row_bounds(seg, rows, width)
+        cnt, first, step = c[keep].astype(np.int64), first[keep], step[keep]
+        for k in range(rows):
+            if at[k] < at[k + 1]:
+                runs = slice(at[k], at[k + 1])
+                # flat cell index to segment index
+                seg[runs] += b - k * width
+                yield k, seg[runs], cnt[runs], first[runs], step[runs]
+
+
+def _run_levels(cnt: np.ndarray, first: np.ndarray, step: np.ndarray):
+    """The levels the runs hit, in order, and the run of each hit."""
+    # hit i has level first[s] + step[s] * (i - start[s]) for its run s
+    start = np.cumsum(cnt)
+    start -= cnt
+    base = step * start
+    np.subtract(first, base, out=base)
+    own = np.repeat(np.arange(cnt.size), cnt)
+    buf = np.take(step, own)
+    lev = np.arange(own.size, dtype=np.float64)
+    lev *= buf
+    lev += np.take(base, own, out=buf, mode="clip")
+    return own, lev
+
+
+def _hit_times(path: SampledPath, seg, own, lev, d: float, r: float) -> np.ndarray:
+    """The time of each hit of level lev on segment seg[own], from the chord."""
+    t, v = path.times, path.values
+    end = seg + 1
+    t1, v1 = t[end], v[end]
+    t0, v0 = t[seg], v[seg]
+    ts = lev * d
+    ts += r
+    buf = np.take(v0, own)
+    ts -= buf
+    v1 -= v0
+    ts /= np.take(v1, own, out=buf, mode="clip")
+    np.subtract(t1, t0, out=v1)
+    ts *= np.take(v1, own, out=buf, mode="clip")
+    ts += np.take(t0, own, out=buf, mode="clip")
+    np.maximum(ts, buf, out=ts)
+    np.minimum(ts, np.take(t1, own, out=buf, mode="clip"), out=ts)
+    return ts
+
+
+def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
+    """All successive different-level grid hits of the path, in time order.
+
+    Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
+    indices, hit value = level * d + r. hit_times excludes time 0. Each
+    block of the sweep is expanded to its hits before the next is swept.
+    """
+    on_grid, runs = _level_runs(path, d, [r], max_hits)
+    out_t, out_l = [], []
+    for _, seg, cnt, first, step in runs:
+        own, lev = _run_levels(cnt, first, step)
+        out_t.append(_hit_times(path, seg, own, lev, d, r))
         out_l.append(lev.astype(np.int64))
     if not out_t:
-        return (np.empty(0), np.empty(0, dtype=np.int64), start_on_grid)
-    return np.concatenate(out_t), np.concatenate(out_l), start_on_grid
+        return (np.empty(0), np.empty(0, dtype=np.int64), bool(on_grid[0]))
+    return np.concatenate(out_t), np.concatenate(out_l), bool(on_grid[0])
+
+
+def _stop_values(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
+    """The values of the level sequence on d*Z + r, bitwise
+    lebesgue_sequence(...).values, without solving a hit time."""
+    _, runs = _level_runs(path, d, [r], max_hits)
+    out = [path.values[:1]]
+    for _, _, cnt, first, step in runs:
+        _, lev = _run_levels(cnt, first, step)
+        lev *= d
+        lev += r
+        out.append(lev)
+    return np.concatenate(out)
 
 
 def lebesgue_sequence(

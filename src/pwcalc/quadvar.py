@@ -42,13 +42,13 @@ def qv_at(path: SampledPath, seq: StoppingSequence, ts: np.ndarray) -> np.ndarra
     ts = ts.reshape(-1)
     idx = np.searchsorted(seq.times, ts, side="right")
     idx -= 1
-    out = _qv_along(path, seq, ts, idx)
+    out = _qv_along(path, seq.values, ts, idx)
     return out.reshape(shape) if shape else out[0]
 
 
-def _qv_along(path: SampledPath, seq: StoppingSequence, ts: np.ndarray, idx: np.ndarray):
-    """qv_at on 1-d ts, given the index of the last stop at or before each."""
-    w = seq.values
+def _qv_along(path: SampledPath, w: np.ndarray, ts: np.ndarray, idx: np.ndarray):
+    """qv_at on 1-d ts, given the stop values w and the index of the last
+    stop at or before each of ts."""
     cum = np.empty(w.size)
     cum[0] = 0.0
     sq = np.diff(w)
@@ -84,7 +84,7 @@ def simple_qv(path: SampledPath, seq: StoppingSequence) -> SampledPath:
     if seq.horizon != path.horizon:
         raise ValueError("sequence horizon must match the path")
     stamps, idx = _merge_stops(path.times, seq.times)
-    return SampledPath(stamps, _qv_along(path, seq, stamps, idx))
+    return SampledPath(stamps, _qv_along(path, seq.values, stamps, idx))
 
 
 def simple_qcov(x: SampledPath, y: SampledPath, seq: StoppingSequence) -> SampledPath:

@@ -5,11 +5,14 @@ import importlib
 import inspect
 import json
 import os
+import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from pwcalc import ExperimentConfig, PathGeneratorConfig, default_config, run
-from pwcalc import bdg, cli, harness, integration
+from pwcalc import ExperimentConfig, GridSpec, PathGeneratorConfig, default_config, run
+from pwcalc import bdg, cli, generate, harness, integration, lebesgue_sequence, qv_at
 from pwcalc.harness import (
     EXPERIMENTS,
     _non_increasing,
@@ -201,6 +204,45 @@ def test_integral_converge_draws_each_member_once(monkeypatch):
     assert sorted(seeds) == [0, 1, 1_000_000_000, 1_000_000_001]
     assert [c.name for c in rep.checks][-1] == "localization-consistent"
     assert rep.pathwise_ok
+
+
+def test_integral_converge_builds_g_once_per_member(monkeypatch):
+    # g is the step approximation the integral of x against itself builds
+    built = []
+    step_approximation = integration.step_approximation
+    monkeypatch.setattr(
+        integration,
+        "step_approximation",
+        lambda f, m: built.append((f.values.tobytes(), m)) or step_approximation(f, m),
+    )
+    cfg = _tiny("integral-converge", ensemble_size=2, m_lo=4, m_hi=5)
+    run(cfg)
+    for i in (0, 1, 1_000_000_000, 1_000_000_001):
+        x = harness._member(cfg, i).values.tobytes()
+        assert built.count((x, cfg.integrand_level)) == 1
+
+
+def test_qv_converge_member_holds_two_curves_at_a_time():
+    # a preset member's seven curves take about 23 MB of traced memory at
+    # once; one curve beside its predecessor, about 17 MB
+    cfg = dataclasses.replace(default_config("qv-converge"), ensemble_size=1)
+    run(cfg)  # scratch rows
+    tracemalloc.start()
+    try:
+        run(dataclasses.replace(cfg, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("mesh, offset", [(2.0**-4, 0.0), (0.1, 0.03)])
+def test_terminal_qv_is_bitwise_the_qv_at_form(mesh, offset):
+    grid = GridSpec(mesh, offset)
+    for seed in range(4):
+        x = generate(PathGeneratorConfig("wiener", step=2.0**-10, seed=seed))
+        want = float(qv_at(x, lebesgue_sequence(x, grid), np.asarray([x.horizon]))[0])
+        assert struct.pack("d", harness._terminal_qv(x, grid)) == struct.pack("d", want)
 
 
 def test_bdg_certify_smoke():

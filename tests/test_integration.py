@@ -1,6 +1,7 @@
 """Step processes, capital processes, witness identities, model-free integrals."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -228,15 +229,42 @@ def test_localized_integral_builds_one_curve_per_sigma(monkeypatch, levels, dist
     w = _wiener(8, step=2.0**-10)
     f = SampledPath(w.times, w.values * (1.5 / np.max(np.abs(w.values))))
     curve, sigmas, gaps = _localized_reference(f, f, levels, 5)
-    built = []
+    built, swept = [], []
     monkeypatch.setattr(
         integration, "step_approximation", lambda g, m: built.append(g) or step_approximation(g, m)
     )
+    # two levels that share a sigma share a curve, whose stamps need no sweep
+    monkeypatch.setattr(integration, "_sup_gaps", lambda *a: swept.append(a) or _sup_gaps(*a))
     res = localized_integral(f, f, levels, 5)
-    assert len(built) == distinct
-    assert res.sigmas == sigmas and res.gaps == gaps
+    assert len(built) == len(swept) + 1 == distinct
+    assert res.sigmas == sigmas and _bits(res.gaps) == _bits(gaps)
     assert res.curve.times.tobytes() == curve.times.tobytes()
     assert res.curve.values.tobytes() == curve.values.tobytes()
+
+
+def _bits(values) -> list:
+    return [struct.pack("d", v) for v in values]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_shared_curve_gap_is_bitwise_the_sweep_near_the_float_maximum():
+    # f crosses 1, 2 and 4 at one rounded time, 0.05, where it is still 0.9:
+    # every level stops f there and holds 0.9 against x. The capital climbs
+    # to 0.9 * 1.7e308 over [0, 0.1], a slope past the float maximum, so the
+    # curve is infinite between its stamps 0 and 0.1, and the gap at 0.05 is
+    # NaN, as the full sweep finds it
+    f = SampledPath(np.asarray([0.0, 0.05, 1.0]), np.asarray([0.9, 0.9, 1e300]))
+    x = SampledPath(np.asarray([0.0, 0.1, 1.0]), np.asarray([0.0, 1.7e308, 1.7e308]))
+    curve, sigmas, gaps = _localized_reference(f, x, [1.0, 2.0, 4.0], 3)
+    assert sigmas == [0.05] * 3 and math.isnan(gaps[0]) and math.isnan(gaps[1])
+    assert np.max(curve.values) > 1e308
+    res = localized_integral(f, x, [1.0, 2.0, 4.0], 3)
+    assert res.sigmas == sigmas and _bits(res.gaps) == _bits(gaps)
+    assert res.curve.values.tobytes() == curve.values.tobytes()
+    # the gap of a curve with itself is 0 where it is finite, NaN where not
+    for t in (0.0, 0.05, 0.1, 0.5, 1.0):
+        at = float(integration._interp(t, res.curve))
+        assert _bits([abs(at - at)]) == _bits(_sup_gaps(res.curve, res.curve, [t]))
 
 
 def test_consistency_error_is_runtime_error():

@@ -22,7 +22,8 @@ from pwcalc import (
     ttv_dp_oracle,
     ttv_sweep,
 )
-from pwcalc import paths, truncvar
+from pwcalc import partitions, paths, truncvar
+from pwcalc.partitions import _grid_hits
 from pwcalc.paths import REL_TOL
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
@@ -176,8 +177,8 @@ def _sandwich_reference(path, m, threshold=None, t=None):
     t_eff = min(path.horizon if t is None else t, sigma, path.horizon)
     c = float(m) ** -2
     middle = ttv_sweep(path, c, t_eff)
-    lower = (m - 1) * truncvar._shifted_transition_sum(path, m - 1, t_eff)
-    upper = (m + 1) * truncvar._shifted_transition_sum(path, m + 1, t_eff)
+    lower = (m - 1) * _shifted_transition_sum_reference(path, m - 1, t_eff)
+    upper = (m + 1) * _shifted_transition_sum_reference(path, m + 1, t_eff)
     tol = REL_TOL * (1.0 + abs(middle))
     return truncvar.SandwichReport(
         m=m,
@@ -315,6 +316,57 @@ def test_transition_counts_quarter_grid():
     assert transition_count(ZIGZAG3, GridSpec(5.0, 0.0)) == 0
 
 
+def _transition_count_reference(path, grid, t=None):
+    """transition_count before one sweep served a family, verbatim."""
+    if t is not None and np.isnan(t):
+        raise ValueError("t must not be NaN")
+    ts, _, on_grid = _grid_hits(path, grid.mesh, grid.offset)
+    upto = path.horizon if t is None else t
+    h = int(np.searchsorted(ts, upto, side="right"))
+    if h == 0:
+        return 0
+    return h - 1 + (1 if on_grid else 0)
+
+
+def _shifted_transition_sum_reference(path, n, t):
+    """_shifted_transition_sum with one grid-hit extraction per offset, verbatim."""
+    d = float(n) ** -2
+    total = 0.0
+    for k in range(n):
+        total += d * d * _transition_count_reference(path, GridSpec(d, k * float(n) ** -3), t)
+    return total
+
+
+# X_0 on and off the grid, exact touches, flat runs at a level
+_COUNT_PATHS = [
+    ZIGZAG3,
+    _walk([0.0, 0.5, 0.5, 0.25, 0.25, 1.0, 1.0, 0.0, 0.5]),
+    _walk([0.1, 0.5, 0.25, 0.5, 0.5, -0.75, 0.3]),
+    _walk([0.3]),
+    generate(PathGeneratorConfig("wiener", step=2.0**-3, seed=3)),
+]
+
+
+@pytest.mark.parametrize("block", [partitions._BLOCK, 4, 1])
+@pytest.mark.parametrize("x", _COUNT_PATHS)
+@pytest.mark.parametrize(
+    "mesh, offsets", [(0.25, [0.0, 0.125]), (1.0 / 9.0, [k / 27.0 for k in range(3)])]
+)
+def test_transition_counts_are_the_per_offset_counts(monkeypatch, block, x, mesh, offsets):
+    hits = np.unique(np.concatenate([_grid_hits(x, mesh, r)[0] for r in offsets]))
+    # a time between two hits on one segment lies inside a run of several levels
+    seg = np.searchsorted(x.times, hits, side="right")
+    inside = [0.5 * (a + b) for a, b, same in zip(hits, hits[1:], seg[1:] == seg[:-1]) if same]
+    assert inside or x.times.size == 1
+    ts = [None, 0.0, 1e-9, *hits, *inside, x.horizon, x.horizon + 1.0, -1.0]
+    want = [[_transition_count_reference(x, GridSpec(mesh, r), t) for r in offsets] for t in ts]
+    # a sweep of several offsets carries each one's latest stop across blocks
+    monkeypatch.setattr(partitions, "_BLOCK", block)
+    for t, counts in zip(ts, want):
+        assert truncvar._transition_counts(x, mesh, offsets, t).tolist() == counts
+        assert [transition_count(x, GridSpec(mesh, r), t) for r in offsets] == counts
+
+
 def test_shifted_transition_sums():
     assert truncvar._shifted_transition_sum(ZIGZAG3, 2, 3.0) == pytest.approx(
         1.3125, abs=1e-15
@@ -363,7 +415,7 @@ def test_sandwich_property_wiener(seed, m):
 def test_sandwich_sums_each_family_once(monkeypatch, kw):
     x = generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=12))
     refs = [_sandwich_reference(x, m, **kw) for m in range(3, 9)]
-    calls = {"transition_count": 0, "hitting_time_abs": 0}
+    calls = {"_transition_counts": 0, "_grid_hits": 0, "hitting_time_abs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -372,13 +424,17 @@ def test_sandwich_sums_each_family_once(monkeypatch, kw):
 
         return wrapper
 
-    monkeypatch.setattr(truncvar, "transition_count", counted("transition_count", transition_count))
+    monkeypatch.setattr(
+        truncvar, "_transition_counts", counted("_transition_counts", truncvar._transition_counts)
+    )
+    monkeypatch.setattr(partitions, "_grid_hits", counted("_grid_hits", partitions._grid_hits))
     monkeypatch.setattr(
         truncvar, "hitting_time_abs", counted("hitting_time_abs", paths.hitting_time_abs)
     )
     reps = sandwich_check(x, range(3, 9), **kw)
-    # families n = 2..9, summed over n offsets each; per m it took 66
-    assert calls == {"transition_count": 44, "hitting_time_abs": 1}
+    # families n = 2..9, one sweep each; one grid-hit extraction per offset
+    # took 44, and per m 66
+    assert calls == {"_transition_counts": 8, "_grid_hits": 0, "hitting_time_abs": 1}
     assert [rep.m for rep in reps] == list(range(3, 9))
     for rep, ref in zip(reps, refs):
         for field in dataclasses.fields(ref):

@@ -170,13 +170,6 @@ def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
         c, step, first, last = (x[: seg.size] for x in per_seg)
         up, again = (x[: seg.size] for x in flags)
         np.take(cnt, seg, out=c, mode="clip")
-        for k in live:
-            swept[k] += int(c[at[k] : at[k + 1]].sum())
-            if swept[k] > max_hits:
-                raise ResourceLimitError(
-                    f"grid hit extraction would produce over {swept[k]:.3g} stops "
-                    f"(limit {max_hits:g})"
-                )
         np.take(rise, seg, out=step, mode="clip")
         np.greater(step, 0.0, out=up)
         np.take(lo, seg, out=first, mode="clip")
@@ -194,6 +187,12 @@ def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
         last += first
         np.equal(first[1:], last[:-1], out=again[1:])
         for k in live:
+            swept[k] += int(c[at[k] : at[k + 1]].sum())
+            if swept[k] > max_hits:
+                raise ResourceLimitError(
+                    f"grid hit extraction would produce over {swept[k]:.3g} stops "
+                    f"(limit {max_hits:g})"
+                )
             again[at[k]] = prev[k] is not None and first[at[k]] == prev[k]
             prev[k] = int(last[at[k + 1] - 1])
         c -= again
@@ -264,20 +263,55 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
         out_l.append(lev.astype(np.int64))
     if not out_t:
         return (np.empty(0), np.empty(0, dtype=np.int64), bool(on_grid[0]))
+    if len(out_t) == 1:  # one block's arrays are fresh: no copy
+        return out_t[0], out_l[0], bool(on_grid[0])
     return np.concatenate(out_t), np.concatenate(out_l), bool(on_grid[0])
 
 
-def _stop_values(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
+def _stop_values(path: SampledPath, d: float, r: float) -> np.ndarray:
     """The values of the level sequence on d*Z + r, bitwise
     lebesgue_sequence(...).values, without solving a hit time."""
-    _, runs = _level_runs(path, d, [r], max_hits)
-    out = [path.values[:1]]
-    for _, _, cnt, first, step in runs:
-        _, lev = _run_levels(cnt, first, step)
-        lev *= d
-        lev += r
-        out.append(lev)
-    return np.concatenate(out)
+    _, runs = _level_runs(path, d, [r])
+    levels = [_run_levels(cnt, first, step)[1] for _, _, cnt, first, step in runs]
+    return _snap(path, np.concatenate(levels) if levels else np.empty(0), d, r)
+
+
+def _snap(path: SampledPath, lev: np.ndarray, d: float, r: float) -> np.ndarray:
+    """Stop values: the raw X_0, then each grid level of lev snapped to
+    lev * d + r."""
+    values = np.empty(lev.size + 1)
+    values[0] = path.values[0]
+    np.multiply(lev, d, out=values[1:])
+    values[1:] += r
+    return values
+
+
+def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None = None):
+    """truncvar.transition_count on the grid mesh*Z + r for each r of
+    offsets, from one sweep of the path.
+
+    A run of level hits on a segment that ends by t counts whole, and one on
+    a segment that starts after t not at all. Only the run on the segment
+    holding t has its hit times solved, by _grid_hits' own arithmetic, so
+    every count equals the number of _grid_hits times at or before t.
+    """
+    if t is not None and np.isnan(t):
+        raise ValueError("t must not be NaN")
+    upto = path.horizon if t is None else t
+    # segment j holds upto, and runs on earlier segments end by it; j is the
+    # segment count once upto reaches the horizon
+    j = int(np.searchsorted(path.times, upto, side="right")) - 1
+    on_grid, runs = _level_runs(path, mesh, offsets)
+    hits = np.zeros(len(on_grid), dtype=np.int64)
+    for k, seg, cnt, first, step in runs:
+        i = int(np.searchsorted(seg, j))
+        hits[k] += int(cnt[:i].sum())
+        if i < seg.size and seg[i] == j:
+            run = slice(i, i + 1)
+            own, lev = _run_levels(cnt[run], first[run], step[run])
+            ts = _hit_times(path, seg[run], own, lev, mesh, float(offsets[k]))
+            hits[k] += int(np.count_nonzero(ts <= upto))
+    return np.where(hits > 0, hits - 1 + on_grid, 0)
 
 
 def lebesgue_sequence(
@@ -290,12 +324,7 @@ def lebesgue_sequence(
 def _level_sequence(path: SampledPath, d: float, r: float, max_hits=MAX_GRID_HITS):
     """Stops at 0 and at each grid hit of the path on d*Z + r, values snapped."""
     ts, lev, _ = _grid_hits(path, d, r, max_hits)
-    times = np.concatenate(([0.0], ts))
-    values = np.empty(times.size)
-    values[0] = path.values[0]
-    np.multiply(lev, d, out=values[1:])
-    values[1:] += r
-    return StoppingSequence(times, values, path.horizon)
+    return StoppingSequence(np.concatenate(([0.0], ts)), _snap(path, lev, d, r), path.horizon)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import GridSpec, _hit_times, _level_runs, _run_levels
+from .partitions import GridSpec, _transition_counts
 from .paths import REL_TOL, SampledPath, _interp, hitting_time_abs
 
 
@@ -199,34 +199,6 @@ def transition_count(path: SampledPath, grid: GridSpec, t: float | None = None) 
     multiple matches cell crossing sums exactly.
     """
     return int(_transition_counts(path, grid.mesh, [grid.offset], t)[0])
-
-
-def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None = None):
-    """transition_count on the grid mesh*Z + r for each r of offsets, from
-    one sweep of the path.
-
-    A run of level hits on a segment that ends by t counts whole, and one on
-    a segment that starts after t not at all. Only the run on the segment
-    holding t has its hit times solved, by _grid_hits' own arithmetic, so
-    every count equals the number of _grid_hits times at or before t.
-    """
-    if t is not None and np.isnan(t):
-        raise ValueError("t must not be NaN")
-    upto = path.horizon if t is None else t
-    # segment j holds upto, and runs on earlier segments end by it; j is the
-    # segment count once upto reaches the horizon
-    j = int(np.searchsorted(path.times, upto, side="right")) - 1
-    on_grid, runs = _level_runs(path, mesh, offsets)
-    hits = np.zeros(len(on_grid), dtype=np.int64)
-    for k, seg, cnt, first, step in runs:
-        i = int(np.searchsorted(seg, j))
-        hits[k] += int(cnt[:i].sum())
-        if i < seg.size and seg[i] == j:
-            run = slice(i, i + 1)
-            own, lev = _run_levels(cnt[run], first[run], step[run])
-            ts = _hit_times(path, seg[run], own, lev, mesh, float(offsets[k]))
-            hits[k] += int(np.count_nonzero(ts <= upto))
-    return np.where(hits > 0, hits - 1 + on_grid, 0)
 
 
 @dataclass(frozen=True)

@@ -363,7 +363,7 @@ def test_transition_counts_are_the_per_offset_counts(monkeypatch, block, x, mesh
     # a sweep of several offsets carries each one's latest stop across blocks
     monkeypatch.setattr(partitions, "_BLOCK", block)
     for t, counts in zip(ts, want):
-        assert truncvar._transition_counts(x, mesh, offsets, t).tolist() == counts
+        assert partitions._transition_counts(x, mesh, offsets, t).tolist() == counts
         assert [transition_count(x, GridSpec(mesh, r), t) for r in offsets] == counts
 
 

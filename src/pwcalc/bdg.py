@@ -16,12 +16,13 @@ every inequality is checked exactly (up to float tolerance) at every index.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .partitions import StoppingSequence
-from .paths import REL_TOL, SampledPath, _frozen, _scratch
+from .paths import REL_TOL, SampledPath, _frozen
 
 # cells per block of the p > 1 weight kernel: its three scratch rows stay
 # near 1 MB each whatever the sequence length
@@ -178,7 +179,7 @@ def _fg(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
     f = np.empty(n)
     g = np.empty(n)
     carry = np.empty(n)
-    numer_rows, sq_rows, den_rows = _scratch("bdg", max(CELLS, n), 3)
+    numer_rows, sq_rows, den_rows = _weight_rows(max(CELLS, n))
     upper = np.triu(np.ones((min(rows, n),) * 2, dtype=bool), 1)  # l > k
     # a ufunc copies both broadcast operands of an outer difference through
     # its buffer when a row is shorter than the buffer; a buffer shorter
@@ -220,6 +221,21 @@ def _fg(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
     f *= p * p
     g *= p * p
     return f, g
+
+
+_rows = threading.local()
+
+
+def _weight_rows(n: int) -> np.ndarray:
+    """_fg's three scratch rows of at least n floats, kept per thread between
+    calls: a call then holds only its O(K) outputs beyond them (the peak
+    test_certificate_p_memory_stays_bounded pins). _fg overwrites what it
+    reads, so no result depends on what an earlier call left behind."""
+    rows = getattr(_rows, "fg", None)
+    if rows is None or rows.shape[1] < n:
+        rows = np.empty((3, n))
+        _rows.fg = rows
+    return rows
 
 
 def certificate_p(x, p: float) -> BdgCertificate:

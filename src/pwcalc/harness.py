@@ -89,7 +89,7 @@ def parallel_map(fn, items, workers: int | None = None):
     yields the same list.
 
     workers is the pool size, by default _workers(len(items)); one worker
-    loops on the calling thread. Each worker keeps its own scratch rows.
+    loops on the calling thread. Each worker keeps its own bdg weight rows.
     An ensemble gets a pool only when its members reach PARALLEL_MIN_SAMPLES
     samples (_ensemble_workers): two threads that each make many short numpy
     calls hand the GIL back and forth on every call that releases it, which

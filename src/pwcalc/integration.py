@@ -139,6 +139,9 @@ def step_approximation(f: SampledPath, m: int) -> StepProcess:
         raise ValueError("m must be nonnegative")
     q = 2.0**-m
     f0 = float(f.values[0])
+    # 2^-m underflows to 0 from m = 1075 on, and f0 / 2^-m overflows sooner
+    if q == 0.0 or math.isinf(f0 / q):
+        raise ValueError(f"m = {m} is too large: the 2^-m grid cannot be anchored at f_0")
     r = f0 - q * math.floor(f0 / q)
     if not 0.0 <= r < q:
         r = 0.0

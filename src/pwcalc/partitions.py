@@ -16,29 +16,31 @@ the readers that need them.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import ResourceLimitError, SampledPath, _frozen, _scratch, evaluate_many
+from .paths import ResourceLimitError, SampledPath, _frozen, evaluate_many
 
 MAX_GRID_HITS = 10**8
 
-# segments per block of _grid_hits: bounds the temporaries, keeps each numpy
-# call long
+# segments per block of the grid sweep, for one offset: bounds the
+# temporaries, keeps each numpy call long
 _BLOCK = 32768
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid d*Z + r with mesh d > 0 and offset 0 <= r < d."""
+    """Grid d*Z + r with finite mesh d > 0 and offset 0 <= r < d."""
 
     mesh: float
     offset: float = 0.0
 
     def __post_init__(self):
-        if not self.mesh > 0.0:
-            raise ValueError("mesh must be positive")
+        if not 0.0 < self.mesh < math.inf:
+            raise ValueError("mesh must be positive and finite")
         if not (0.0 <= self.offset < self.mesh):
             raise ValueError("offset must lie in [0, mesh)")
 
@@ -93,19 +95,17 @@ def _level_runs(path: SampledPath, d: float, offsets, max_hits: int = MAX_GRID_H
     """The grid sweep: the level runs of the path on d*Z + r for each r of offsets.
 
     Returns (start_on_grid, runs). start_on_grid[k] says whether X_0 lies on
-    grid k. runs yields, block by block and offset by offset, (k, seg, cnt,
-    first, step): offset k's runs of the block in time order, run i hitting
-    the cnt[i] levels first[i], first[i] + step[i], ... on segment seg[i],
-    with step[i] = +1 or -1. A run hits every level its segment sweeps
-    strictly after its start sample, less a re-touch of the level of the
-    latest stop, so no two consecutive hits share a level. The arrays are
-    fresh, but the sweep works in this thread's scratch rows: consume one
-    sweep before starting another.
+    grid k, and runs[k] = (seg, cnt, first, step) are offset k's runs over
+    the whole path in time order: run i hits the cnt[i] levels first[i],
+    first[i] + step[i], ... on segment seg[i], with step[i] = +1 or -1. A
+    run hits every level its segment sweeps strictly after its start sample,
+    less a re-touch of the level of the latest stop, so no two consecutive
+    hits share a level.
 
-    The path is swept in blocks of about _BLOCK / len(offsets) segments, so
-    no temporary holds more cells than a single-offset block of _BLOCK
-    segments. The resource limit is checked per offset, on its running
-    count of swept levels, before a block's runs are yielded.
+    No temporary holds more cells than a single-offset block of _BLOCK
+    segments, and the block buffers are allocated once per call. The
+    resource limit is checked per offset, on its running count of swept
+    levels, so it trips before any reader expands a hit.
     """
     v, offsets = path.values, list(offsets)
     vmax, vmin, v0 = float(v.max()), float(v.min()), float(v[0])
@@ -118,35 +118,26 @@ def _level_runs(path: SampledPath, d: float, offsets, max_hits: int = MAX_GRID_H
         start_on_grid.append(j0 * d + r == v0)
         # the level of the offset's latest stop, if on the grid
         prev.append(j0 if start_on_grid[-1] else None)
-    return start_on_grid, _runs(v, d, offsets, prev, max_hits)
-
-
-def _row_bounds(cells: np.ndarray, rows: int, width: int) -> list:
-    """bounds such that cells[bounds[k]:bounds[k + 1]] lie in row k, for
-    sorted flat indices into rows of width cells."""
-    if rows == 1:  # no search: a single-offset sweep pays nothing for the rows
-        return [0, cells.size]
-    return np.searchsorted(cells, np.arange(rows + 1) * width).tolist()
-
-
-def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
-    """_level_runs' blocks, given each offset's latest stop level."""
-    n, rows = v.size - 1, len(offsets)
-    # segments per block: a block of every offset fits the rows of one
-    # single-offset block, so the scratch rows never grow
-    size = max(1, (_BLOCK + 1) // rows - 1)
-    swept = [0] * rows
+    n = v.size - 1
+    # a block holds at most _BLOCK + 1 cells: the whole path for as many
+    # offsets as fit, else _BLOCK segments of one offset, so only one-offset
+    # blocks carry a latest stop to the next block
+    group = max(1, min(len(offsets), (_BLOCK + 1) // (n + 1)))
+    size = max(1, min(n, _BLOCK))
+    swept = [0] * len(offsets)
+    pieces = [[] for _ in offsets]
     # one row of cells per offset, one column per sample; the last column
     # starts no segment
-    cells = _scratch("sweep", rows * (size + 1), 4)
-    per_seg = _scratch("sweep-seg", rows * size, 4)
-    flags = _scratch("sweep-flags", rows * (size + 1), 2, bool)
-    for b in range(0, n, size):
-        nb = min(n, b + size) - b
+    cells = np.empty((4, group * (size + 1)))
+    per_seg = np.empty((4, group * size))
+    flags = np.empty((2, group * (size + 1)), dtype=bool)
+    for g, b in itertools.product(range(0, len(offsets), group), range(0, n, size)):
+        ks = range(g, min(len(offsets), g + group))
+        rows, nb = len(ks), min(n, b + size) - b
         width = nb + 1
         lo, hi, rise, cnt = (x[: rows * width] for x in cells)
-        for k, r in enumerate(offsets):
-            row = lo[k * width : (k + 1) * width]
+        for j, k in enumerate(ks):
+            row, r = lo[j * width : (j + 1) * width], offsets[k]
             if r:
                 np.subtract(v[b : b + width], r, out=row)
                 row /= d
@@ -166,7 +157,7 @@ def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
         if seg.size == 0:
             continue
         at = _row_bounds(seg, rows, width)
-        live = [k for k in range(rows) if at[k] < at[k + 1]]
+        live = [j for j in range(rows) if at[j] < at[j + 1]]
         c, step, first, last = (x[: seg.size] for x in per_seg)
         up, again = (x[: seg.size] for x in flags)
         np.take(cnt, seg, out=c, mode="clip")
@@ -186,15 +177,16 @@ def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
         last *= step
         last += first
         np.equal(first[1:], last[:-1], out=again[1:])
-        for k in live:
-            swept[k] += int(c[at[k] : at[k + 1]].sum())
+        for j in live:
+            k = ks[j]
+            swept[k] += int(c[at[j] : at[j + 1]].sum())
             if swept[k] > max_hits:
                 raise ResourceLimitError(
                     f"grid hit extraction would produce over {swept[k]:.3g} stops "
                     f"(limit {max_hits:g})"
                 )
-            again[at[k]] = prev[k] is not None and first[at[k]] == prev[k]
-            prev[k] = int(last[at[k + 1] - 1])
+            again[at[j]] = prev[k] is not None and first[at[j]] == prev[k]
+            prev[k] = int(last[at[j + 1] - 1])
         c -= again
         np.multiply(again, step, out=last)
         first += last
@@ -205,12 +197,31 @@ def _runs(v: np.ndarray, d: float, offsets: list, prev: list, max_hits: int):
         seg = seg[keep]
         at = _row_bounds(seg, rows, width)
         cnt, first, step = c[keep].astype(np.int64), first[keep], step[keep]
-        for k in range(rows):
-            if at[k] < at[k + 1]:
-                runs = slice(at[k], at[k + 1])
+        for j, k in enumerate(ks):
+            if at[j] < at[j + 1]:
+                runs = slice(at[j], at[j + 1])
                 # flat cell index to segment index
-                seg[runs] += b - k * width
-                yield k, seg[runs], cnt[runs], first[runs], step[runs]
+                seg[runs] += b - j * width
+                pieces[k].append((seg[runs], cnt[runs], first[runs], step[runs]))
+    return start_on_grid, [_joined(p) for p in pieces]
+
+
+def _row_bounds(cells: np.ndarray, rows: int, width: int) -> list:
+    """bounds such that cells[bounds[k]:bounds[k + 1]] lie in row k, for
+    sorted flat indices into rows of width cells."""
+    if rows == 1:  # no search: a single-offset sweep pays nothing for the rows
+        return [0, cells.size]
+    return np.searchsorted(cells, np.arange(rows + 1) * width).tolist()
+
+
+def _joined(pieces: list) -> tuple:
+    """One offset's (seg, cnt, first, step) over the whole path, from its
+    blocks' pieces in time order."""
+    if len(pieces) == 1:  # one block's arrays are fresh: no copy
+        return pieces[0]
+    if not pieces:
+        return (np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0), np.empty(0))
+    return tuple(np.concatenate(field) for field in zip(*pieces))
 
 
 def _run_levels(cnt: np.ndarray, first: np.ndarray, step: np.ndarray):
@@ -252,28 +263,18 @@ def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_H
     """All successive different-level grid hits of the path, in time order.
 
     Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
-    indices, hit value = level * d + r. hit_times excludes time 0. Each
-    block of the sweep is expanded to its hits before the next is swept.
+    indices, hit value = level * d + r. hit_times excludes time 0.
     """
-    on_grid, runs = _level_runs(path, d, [r], max_hits)
-    out_t, out_l = [], []
-    for _, seg, cnt, first, step in runs:
-        own, lev = _run_levels(cnt, first, step)
-        out_t.append(_hit_times(path, seg, own, lev, d, r))
-        out_l.append(lev.astype(np.int64))
-    if not out_t:
-        return (np.empty(0), np.empty(0, dtype=np.int64), bool(on_grid[0]))
-    if len(out_t) == 1:  # one block's arrays are fresh: no copy
-        return out_t[0], out_l[0], bool(on_grid[0])
-    return np.concatenate(out_t), np.concatenate(out_l), bool(on_grid[0])
+    (on_grid,), ((seg, cnt, first, step),) = _level_runs(path, d, [r], max_hits)
+    own, lev = _run_levels(cnt, first, step)
+    return _hit_times(path, seg, own, lev, d, r), lev.astype(np.int64), on_grid
 
 
 def _stop_values(path: SampledPath, d: float, r: float) -> np.ndarray:
     """The values of the level sequence on d*Z + r, bitwise
     lebesgue_sequence(...).values, without solving a hit time."""
-    _, runs = _level_runs(path, d, [r])
-    levels = [_run_levels(cnt, first, step)[1] for _, _, cnt, first, step in runs]
-    return _snap(path, np.concatenate(levels) if levels else np.empty(0), d, r)
+    _, ((_, cnt, first, step),) = _level_runs(path, d, [r])
+    return _snap(path, _run_levels(cnt, first, step)[1], d, r)
 
 
 def _snap(path: SampledPath, lev: np.ndarray, d: float, r: float) -> np.ndarray:
@@ -295,17 +296,17 @@ def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None 
     holding t has its hit times solved, by _grid_hits' own arithmetic, so
     every count equals the number of _grid_hits times at or before t.
     """
-    if t is not None and np.isnan(t):
-        raise ValueError("t must not be NaN")
+    if t is not None and not t >= 0.0:
+        raise ValueError("t must not be NaN" if np.isnan(t) else "t must not be negative")
     upto = path.horizon if t is None else t
     # segment j holds upto, and runs on earlier segments end by it; j is the
     # segment count once upto reaches the horizon
     j = int(np.searchsorted(path.times, upto, side="right")) - 1
     on_grid, runs = _level_runs(path, mesh, offsets)
     hits = np.zeros(len(on_grid), dtype=np.int64)
-    for k, seg, cnt, first, step in runs:
+    for k, (seg, cnt, first, step) in enumerate(runs):
         i = int(np.searchsorted(seg, j))
-        hits[k] += int(cnt[:i].sum())
+        hits[k] = int(cnt[:i].sum())
         if i < seg.size and seg[i] == j:
             run = slice(i, i + 1)
             own, lev = _run_levels(cnt[run], first[run], step[run])

@@ -15,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,12 +345,12 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
     out_t, out_x = np.empty(bound), np.empty(bound)
     k = 0
     per_block = max(1, _BRIDGE_BLOCK // leaves)
-    size = per_block * leaves
-    ws = _scratch("bridge", size + 1, 13)
-    p, q, u, above, below, p_up, p_dn, span, p_ud, p_du, draw, tmp, h = ws
-    flags = _scratch("bridge-flags", size, 5, bool)
-    ints = _scratch("bridge-ints", size, 2, np.int64)
-    bits = _scratch("bridge-bits", size, 2, np.uint32)
+    # leaves per block, and block buffers allocated once per call
+    size = min(n, per_block) * leaves
+    p, q, u, above, below, p_up, p_dn, span, p_ud, p_du, draw, tmp, h = np.empty((13, size + 1))
+    flags = np.empty((5, size), dtype=bool)
+    ints = np.empty((2, size), dtype=np.int64)
+    bits = np.empty((2, size), dtype=np.uint32)
     offsets = np.arange(size + 1)
     for s0 in range(0, n, per_block):
         s1 = min(n, s0 + per_block)
@@ -471,30 +470,6 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
         k += nl + int(count.sum())
     out_t[k], out_x[k] = times[-1], vals[-1]
     return out_t[: k + 1], out_x[: k + 1]
-
-
-_scratch_arrays = threading.local()
-
-
-def _scratch(name: str, n: int, count: int, dtype=np.float64) -> np.ndarray:
-    """count rows of n scratch elements, kept per thread between calls.
-
-    A long temporary is mapped in anew each time it is allocated, and every
-    page of it faulted in again; at these sizes that costs more than the
-    arithmetic. The allocator policy set at import (_retain_freed_memory:
-    glibc takes blocks up to 32 MiB from its heap and keeps up to 64 MiB of
-    freed heap top) spares every other array that refault, but scratch rows
-    stay: a kernel that works in place on them makes no per-block
-    temporaries, which also bounds its peak traced memory (certificate_p
-    holds only its O(K) outputs beyond the rows, as
-    test_certificate_p_memory_stays_bounded pins). Callers overwrite what
-    they read, so no result depends on what an earlier call left behind.
-    """
-    rows = getattr(_scratch_arrays, name, None)
-    if rows is None or rows.shape[1] < n:
-        rows = np.empty((count, n), dtype=dtype)
-        setattr(_scratch_arrays, name, rows)
-    return rows
 
 
 # glibc mallopt parameters (malloc.h)

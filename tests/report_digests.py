@@ -1,0 +1,100 @@
+"""sha256 of every artifact the CLI writes, for a fixed small run of each experiment.
+
+Each of the eight experiments runs at its preset with 3 members and seed 11
+(both the experiment and the generator seed, as `--seed 11` sets them), once
+without and once with `--oracle`. The digests of `report.json` and of every
+table CSV are kept in report_digests.json, beside the numpy version and the
+platform that wrote them; `run_metadata.json` holds wall-clock and is left out.
+test_report_digests.py compares a fresh run with the file.
+
+    python3 tests/report_digests.py           # print what differs from the file
+    python3 tests/report_digests.py --write   # rewrite the file from this tree
+
+A change that moves a report rewrites the file and says why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+DIGEST_FILE = Path(__file__).resolve().with_name("report_digests.json")
+WRITE_COMMAND = "python3 tests/report_digests.py --write"
+MEMBERS = 3
+SEED = 11
+
+
+def environment() -> dict:
+    return {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
+
+
+def compute() -> dict:
+    """{"<experiment>[ --oracle]": {artifact file name: sha256}} from this tree."""
+    from pwcalc.harness import EXPERIMENTS, default_config, run
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in EXPERIMENTS:
+            preset = default_config(name)
+            for oracle in (False, True):
+                key = name + (" --oracle" if oracle else "")
+                out = Path(tmp) / key.replace(" ", "")
+                cfg = dataclasses.replace(
+                    preset,
+                    seed=SEED,
+                    generator=dataclasses.replace(preset.generator, seed=SEED),
+                    ensemble_size=MEMBERS,
+                    oracle=oracle,
+                    output_dir=str(out),
+                )
+                run(cfg)
+                digests[key] = {
+                    f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in sorted(out.iterdir())
+                    if f.name != "run_metadata.json"
+                }
+    return digests
+
+
+def load() -> dict:
+    return json.loads(DIGEST_FILE.read_text())
+
+
+def differences(recorded: dict, digests: dict) -> list:
+    """One line per run whose artifacts or digests differ from the record."""
+    lines = []
+    for key in sorted(recorded.keys() | digests.keys()):
+        want, got = recorded.get(key, {}), digests.get(key, {})
+        moved = sorted(f for f in want.keys() | got.keys() if want.get(f) != got.get(f))
+        if moved:
+            lines.append(f"{key}: {', '.join(moved)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help=f"rewrite {DIGEST_FILE.name}")
+    args = parser.parse_args(argv)
+    digests = compute()
+    if args.write:
+        doc = {**environment(), "members": MEMBERS, "seed": SEED, "digests": digests}
+        DIGEST_FILE.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {DIGEST_FILE}")
+        return 0
+    moved = differences(load()["digests"], digests)
+    print("\n".join(moved) if moved else "all reports match")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    # the tree's own package, installed or not
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.exit(main())

@@ -226,7 +226,7 @@ def test_qv_converge_member_holds_two_curves_at_a_time():
     # a preset member's seven curves take about 23 MB of traced memory at
     # once; one curve beside its predecessor, about 17 MB
     cfg = dataclasses.replace(default_config("qv-converge"), ensemble_size=1)
-    run(cfg)  # scratch rows
+    run(cfg)  # warm-up: one-time allocations stay out of the peak
     tracemalloc.start()
     try:
         run(dataclasses.replace(cfg, seed=1))

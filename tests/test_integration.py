@@ -141,6 +141,14 @@ def test_step_approximation_lattices():
         step_approximation(LINE01, -1)
 
 
+def test_step_approximation_rejects_an_unrepresentable_mesh():
+    # 2^-m is 0.0 from m = 1075 on; f_0 / 2^-m overflows sooner when f_0 != 0
+    shifted = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.3, 1.4]))
+    for f, m in ((LINE01, 1075), (LINE01, 1100), (ZIGZAG3, 1100), (shifted, 1060)):
+        with pytest.raises(ValueError, match="too large"):
+            step_approximation(f, m)
+
+
 def test_step_approximation_anchors_at_start():
     f = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.3, 1.4]))
     sp = step_approximation(f, 1)

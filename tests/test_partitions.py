@@ -1,5 +1,7 @@
 """Level sequences: snapping, reversal dedup, covers, merge."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from pwcalc import (
 from pwcalc import partitions
 from pwcalc.partitions import MAX_GRID_HITS, _BLOCK, _grid_hits, _level_runs, _merge_stops
 from pwcalc.partitions import _stop_values
-from pwcalc.paths import _scratch
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 
@@ -36,6 +37,13 @@ def test_grid_spec_validation():
         GridSpec(0.5, 0.5)
     with pytest.raises(ValueError):
         GridSpec(0.5, -0.1)
+
+
+def test_grid_spec_rejects_a_non_finite_mesh():
+    # an infinite mesh would make a one-stop sequence of any path
+    for mesh in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="mesh must be"):
+            GridSpec(mesh)
 
 
 def test_stopping_sequence_validation():
@@ -222,9 +230,9 @@ def _grid_hits_reference(path, d, r, max_hits=MAX_GRID_HITS):
     prev = int(j0) if start_on_grid else None  # level of the latest stop, if on the grid
     swept = 0
     out_t, out_l = [], []
-    rows = _scratch("sweep", _BLOCK + 1, 4)
-    per_seg = _scratch("sweep-seg", _BLOCK, 4)
-    flags = _scratch("sweep-flags", _BLOCK, 2, bool)
+    rows = np.empty((4, _BLOCK + 1))
+    per_seg = np.empty((4, _BLOCK))
+    flags = np.empty((2, _BLOCK), dtype=bool)
     for b in range(0, n, _BLOCK):
         nb = min(n, b + _BLOCK) - b
         lo, hi, rise, cnt = (x[: nb + 1] for x in rows)
@@ -352,12 +360,52 @@ def test_every_offset_of_a_sweep_is_guarded():
     for offsets, limited in (([0.1], False), ([0.1, 0.0], True), ([0.0, 0.1], True)):
         if limited:
             with pytest.raises(ResourceLimitError):
-                list(_level_runs(x, 0.25, offsets, max_hits=3)[1])
+                _level_runs(x, 0.25, offsets, max_hits=3)
         else:
-            assert [k for k, *_ in _level_runs(x, 0.25, offsets, max_hits=3)[1]] == [0]
-    # (r - min) / mesh is 2^53 - 1 on offset 0 but rounds to 2^53 on offset 0.5
+            runs = _level_runs(x, 0.25, offsets, max_hits=3)[1]
+            assert [cnt.tolist() for _, cnt, _, _ in runs] == [[3]]
+    # (r - min) / mesh is 2^53 - 1 on offset 0 but rounds to 2^53 on offset 0.5;
+    # past the 2^53 guard, the 2^53 - 1 levels of offset 0 trip the hit limit
     low = SampledPath(np.asarray([0.0, 1.0]), np.asarray([-(2.0**53 - 1.0), 0.0]))
-    assert _level_runs(low, 1.0, [0.0])[0] == [True]
+    with pytest.raises(ResourceLimitError):
+        _level_runs(low, 1.0, [0.0])
     for offsets in ([0.5], [0.0, 0.5]):
         with pytest.raises(ValueError, match="2\\^53"):
             _level_runs(low, 1.0, offsets)
+
+
+def test_grid_hits_peak_memory_per_hit():
+    # the runs of the whole path are expanded in one go: the peak holds the
+    # hits' times, levels and run indices and no block's copy of them
+    # (41.3 B per hit when each block was expanded and then concatenated)
+    x = _wiener(7, step=2.0**-16)
+    _grid_hits(x, 2.0**-12, 0.0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ts, lev, _ = _grid_hits(x, 2.0**-12, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert ts.size > 500_000
+    # the two results alone take 16 B per hit
+    assert 16.0 < peak / ts.size < 39.5
+
+
+def test_hit_limit_trips_before_any_hit_is_expanded(monkeypatch):
+    # blocks of 4 segments, 4 levels each: the limit of 20 trips in the
+    # second block, after the first block's runs are kept
+    monkeypatch.setattr(partitions, "_BLOCK", 4)
+    x = SampledPath(np.arange(9.0), np.asarray([0.0, 1.0] * 4 + [0.0]))
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("hits expanded before the limit was checked")
+
+    monkeypatch.setattr(partitions, "_run_levels", no_expansion)
+    for reader in (_grid_hits, partitions._level_sequence):
+        with pytest.raises(ResourceLimitError):
+            reader(x, 0.25, 0.0, max_hits=20)

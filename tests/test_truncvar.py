@@ -314,6 +314,11 @@ def test_transition_counts_quarter_grid():
     assert transition_count(ZIGZAG3, GridSpec(0.25, 0.125)) == 9
     assert transition_count(ZIGZAG3, GridSpec(0.25, 0.0), t=1.0) == 4
     assert transition_count(ZIGZAG3, GridSpec(5.0, 0.0)) == 0
+    # like ttv_sweep, qv_at and stieltjes_integral, a count before time 0 is an error
+    with pytest.raises(ValueError, match="t must not be negative"):
+        transition_count(ZIGZAG3, GridSpec(0.25, 0.0), t=-1.0)
+    with pytest.raises(ValueError, match="t must not be negative"):
+        transition_count(ZIGZAG3, GridSpec(0.25, 0.0), t=-(2.0**-1074))
 
 
 def _transition_count_reference(path, grid, t=None):
@@ -344,10 +349,13 @@ _COUNT_PATHS = [
     _walk([0.1, 0.5, 0.25, 0.5, 0.5, -0.75, 0.3]),
     _walk([0.3]),
     generate(PathGeneratorConfig("wiener", step=2.0**-3, seed=3)),
+    # X_0 on the grid of offset 2/27 at mesh 1/9 only, and re-touched first
+    _walk([2.0 / 27.0, 2.0 / 27.0 + 0.5 / 9.0, 2.0 / 27.0 - 1.5 / 9.0, 0.5]),
 ]
 
 
-@pytest.mark.parametrize("block", [partitions._BLOCK, 4, 1])
+# at 8, the three offsets of a 3-segment path go in whole-path blocks of two and one
+@pytest.mark.parametrize("block", [partitions._BLOCK, 8, 4, 1])
 @pytest.mark.parametrize("x", _COUNT_PATHS)
 @pytest.mark.parametrize(
     "mesh, offsets", [(0.25, [0.0, 0.125]), (1.0 / 9.0, [k / 27.0 for k in range(3)])]
@@ -358,13 +366,15 @@ def test_transition_counts_are_the_per_offset_counts(monkeypatch, block, x, mesh
     seg = np.searchsorted(x.times, hits, side="right")
     inside = [0.5 * (a + b) for a, b, same in zip(hits, hits[1:], seg[1:] == seg[:-1]) if same]
     assert inside or x.times.size == 1
-    ts = [None, 0.0, 1e-9, *hits, *inside, x.horizon, x.horizon + 1.0, -1.0]
+    ts = [None, 0.0, 1e-9, *hits, *inside, x.horizon, x.horizon + 1.0]
     want = [[_transition_count_reference(x, GridSpec(mesh, r), t) for r in offsets] for t in ts]
     # a sweep of several offsets carries each one's latest stop across blocks
     monkeypatch.setattr(partitions, "_BLOCK", block)
     for t, counts in zip(ts, want):
         assert partitions._transition_counts(x, mesh, offsets, t).tolist() == counts
         assert [transition_count(x, GridSpec(mesh, r), t) for r in offsets] == counts
+    with pytest.raises(ValueError, match="t must not be negative"):
+        partitions._transition_counts(x, mesh, offsets, -1.0)
 
 
 def test_shifted_transition_sums():

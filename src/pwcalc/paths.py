@@ -178,7 +178,9 @@ class PathGeneratorConfig:
             if self.kind != "wiener":
                 raise ValueError("bridge_grid applies to wiener paths only")
             mesh, offset = (float(g) for g in self.bridge_grid)
-            if not (mesh > 0.0 and 0.0 <= offset < mesh):
+            if not 0.0 < mesh < math.inf:
+                raise ValueError("mesh must be positive and finite")
+            if not 0.0 <= offset < mesh:
                 raise ValueError("bridge_grid needs mesh > 0 and 0 <= offset < mesh")
             object.__setattr__(self, "bridge_grid", (mesh, offset))
 
@@ -331,14 +333,23 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
     """
     mesh, offset = config.bridge_grid
     n = times.size - 1
-    w0 = (config.volatility / mesh) ** 2 * dt
-    depth = max(0, math.ceil(math.log2(w0 / _BRIDGE_LEAF)))
+    try:
+        w0 = (config.volatility / mesh) ** 2 * dt
+    except OverflowError:
+        w0 = math.inf
+    if w0 == 0.0:
+        # a leaf of variance 0 touches no level it does not already hold
+        return times, vals
+    # 2^depth leaves of variance at most _BRIDGE_LEAF per step; a depth whose
+    # leaves alone pass the limit, an infinite one included, is never shifted
+    depth = max(0, math.ceil(math.log2(w0 / _BRIDGE_LEAF))) if w0 < math.inf else math.inf
+    if depth >= MAX_BRIDGE_SAMPLES.bit_length() or 3 * n << depth >= MAX_BRIDGE_SAMPLES:
+        raise ResourceLimitError(
+            f"bridge resolution needs 2^{depth} leaves on each of {n} steps "
+            f"(limit {MAX_BRIDGE_SAMPLES:g} samples)"
+        )
     leaves = 1 << depth
     bound = 3 * n * leaves + 1
-    if bound > MAX_BRIDGE_SAMPLES:
-        raise ResourceLimitError(
-            f"bridge resolution could produce {bound:.3g} samples (limit {MAX_BRIDGE_SAMPLES:g})"
-        )
     scale = -2.0 * leaves / w0  # touch probability exponent per (L-a)(L-b) at a leaf
     sd = [0.5 * abs(config.volatility) * math.sqrt(dt / (1 << lv)) for lv in range(depth)]
     key = np.random.SeedSequence(config.seed, spawn_key=(1,)).generate_state(1)[0]

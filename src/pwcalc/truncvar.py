@@ -97,40 +97,56 @@ def ttv_sweep(path: SampledPath, c: float, t: float | None = None) -> float:
     return _sweep_from_values(x, c)
 
 
-# columns of values staged at a time as signed pairs (x_i, -x_i)
-COLUMN_CHUNK = 128
+# cells (thresholds x rows x columns) of signed columns staged at a time;
+# the stage holds two floats per cell
+STAGE_CELLS = 2**14
 
 
 def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
     """Final ttv(c) for each row of a matrix of window values.
 
     c is one threshold or a vector of them, giving one row of results per
-    threshold. The state stacks (m_minus, m_plus) as (2, thresholds, rows),
-    and each signed column (x_i, -x_i) is broadcast against it rather than
-    copied per threshold: m_plus - x_i is m_plus + (-x_i) and v_i + x_i is
-    v_i - (-x_i) exactly, so one add and one subtract serve both halves.
-    The signed columns are staged COLUMN_CHUNK at a time, never the matrix.
+    threshold. The state (m_minus, m_plus) is one contiguous (2, width)
+    array, width = thresholds x rows, threshold-major, and each signed
+    column (x_i, -x_i) is staged tiled to that width, so every update is six
+    ufunc calls on contiguous operands: m_plus - x_i is m_plus + (-x_i) and
+    v_i + x_i is v_i - (-x_i) exactly, so one add and one subtract serve
+    both halves. Columns are staged STAGE_CELLS // width at a time, at
+    least one, never the matrix.
     """
     x = np.asarray(values, dtype=np.float64)
     cs = np.asarray(c, dtype=np.float64)
     if not np.all(cs >= 0.0):
         raise ValueError("threshold c must be nonnegative")
-    col = cs.reshape(-1, 1)
     rows, n = x.shape
-    state = np.empty((2, col.size, rows))
-    np.negative(x[:, 0], out=state[0])
+    width = cs.size * rows
+    best = np.zeros(width)
+    if width == 0:
+        return best.reshape(cs.shape + (rows,))
+    col = np.repeat(cs.reshape(-1), rows)
+    # np.negative runs only on contiguous rows here: numpy 2.4's float64
+    # negative reads a 64-byte input stride wrongly when its output is strided
+    state = np.empty((2, cs.size, rows))
     state[1] = x[:, 0]
-    best = np.zeros((col.size, rows))
+    np.negative(state[1], out=state[0])
+    state = state.reshape(2, width)
     pair = np.empty_like(state)
     lo, hi = pair
     vi = np.empty_like(best)
-    signed = np.empty((COLUMN_CHUNK, 2, 1, rows))
-    for j in range(1, n, COLUMN_CHUNK):
-        block = x[:, j : j + COLUMN_CHUNK].T
-        k = block.shape[0]
-        signed[:k, 0, 0] = block
-        np.negative(block, out=signed[:k, 1, 0])
-        for sx in signed[:k]:
+    chunk = max(1, STAGE_CELLS // width)
+    # signed[i] is the signed column (x_i, -x_i), written by copies alone: a
+    # ufunc writing into a strided half of signed allocates a stage-sized buffer
+    signed = np.empty((chunk, 2, cs.size, rows))
+    neg = np.empty(rows * chunk)
+    for j in range(1, n, chunk):
+        block = x[:, j : j + chunk]
+        k = block.shape[1]
+        negated = neg[: rows * k].reshape(rows, k)
+        negated[...] = block
+        np.negative(negated, out=negated)
+        signed[:k, 0] = block.T[:, None, :]
+        signed[:k, 1] = negated.T[:, None, :]
+        for sx in signed[:k].reshape(k, 2, width):
             np.add(state, sx, out=pair)
             np.maximum(lo, hi, out=vi)
             np.subtract(vi, col, out=vi)

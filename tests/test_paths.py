@@ -423,6 +423,24 @@ def test_bridge_resolution_is_bounded():
         generate(cfg)
 
 
+@pytest.mark.parametrize("mesh", [math.inf, 1e200, 1e308, 1e-160, 1e-300])
+def test_bridge_meshes_at_the_extremes_fail_fast_or_keep_the_samples(mesh):
+    kw = dict(step=2.0**-4, seed=2)
+    if mesh == math.inf:
+        with pytest.raises(ValueError, match="mesh must be positive and finite"):
+            PathGeneratorConfig("wiener", bridge_grid=(mesh, 0.0), **kw)
+    elif mesh > 1.0:
+        # leaf variance (1/mesh)^2 step underflows to 0: no level is touched
+        x = generate(PathGeneratorConfig("wiener", bridge_grid=(mesh, 0.0), **kw))
+        y = generate(PathGeneratorConfig("wiener", **kw))
+        assert x.times.tobytes() == y.times.tobytes()
+        assert x.values.tobytes() == y.values.tobytes()
+    else:
+        # leaf variance overflows a float
+        with pytest.raises(ResourceLimitError):
+            generate(PathGeneratorConfig("wiener", bridge_grid=(mesh, 0.0), **kw))
+
+
 def test_bridge_touches_reach_non_dyadic_levels():
     rng = np.random.default_rng(3)
     lev = rng.integers(-10**6, 10**6, 5000).astype(float)

@@ -197,14 +197,23 @@ def _bits(v: float) -> bytes:
 
 
 _EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300])
-_CHUNK = truncvar.COLUMN_CHUNK
+# the bitwise tests stage this many cells at a time: for a state width of 1
+# to 12 a chunk is 24 // width columns, at least two, and divides 24
+_CELLS = 24
+# more than 24 columns after the first, 24q + r for an r prime to 6: several
+# chunks and a partial last one at every such width
+_MANY_COLUMNS = st.builds(
+    lambda q, r: 1 + _CELLS * q + r, st.integers(1, 2), st.sampled_from([1, 5, 7, 11, 13, 17, 19, 23])
+)
+# 5 rows x 5 thresholds: a state wider than the stage, one column a chunk
+_WIDE = np.cos(np.arange(20.0)).reshape(5, 4)
 
 
 @st.composite
 def _value_matrices(draw):
     rows = draw(st.integers(1, 4))
-    # one column; a few; more than one chunk of columns with a partial last one
-    cols = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(_CHUNK + 2, 2 * _CHUNK + 40)))
+    # one column; a few; many
+    cols = draw(st.one_of(st.just(1), st.integers(2, 12), _MANY_COLUMNS))
     elements = st.one_of(_EDGES, st.floats(-4, 4))
     steps = draw(arrays(np.float64, (rows, cols), elements=elements, fill=_EDGES))
     # a cumulative sum of steps from the edge values has flat runs
@@ -216,12 +225,17 @@ def _value_matrices(draw):
     cs=st.lists(st.one_of(st.just(0.0), _EDGES.map(abs), st.floats(0, 3)), min_size=1, max_size=3),
     scalar=st.booleans(),
 )
-@example(values=np.zeros((1, 2 * _CHUNK + 38)), cs=[0.0], scalar=True)
+@example(values=np.zeros((1, 2 * _CELLS + 6)), cs=[0.0], scalar=True)
 @example(values=np.asarray([[-0.0, 0.0]]), cs=[0.0], scalar=False)
+@example(values=_WIDE, cs=[0.0, 0.25, 0.5, 1.0, 2.0], scalar=False)
+# rows of 64 bytes, and a last chunk of one column
+@example(values=np.tile(np.arange(1.0, 9.0), (2, 1)), cs=[0.0, 0.0], scalar=False)
 @settings(max_examples=80, deadline=None)
 def test_kernels_are_bitwise_the_reference_recurrences(values, cs, scalar):
     c = cs[0] if scalar else cs
-    batch = truncvar._ttv_batch(values, c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(truncvar, "STAGE_CELLS", _CELLS)
+        batch = truncvar._ttv_batch(values, c)
     # the batch adds 0.0 to the reference's result: -0.0 becomes +0.0, all else keeps its bits
     assert batch.tobytes() == (_ttv_batch_reference(values, c) + 0.0).tobytes()
     for ci in np.atleast_1d(c):
@@ -236,12 +250,28 @@ def test_kernels_are_bitwise_the_reference_recurrences(values, cs, scalar):
 )
 @example(values=np.asarray([[-0.0, 0.0]]), cs=[0.0])
 @example(values=np.asarray([[0.0, -0.0, -0.0], [-0.0, -0.0, 0.0]]), cs=[0.0, 1.0])
+@example(values=_WIDE, cs=[0.0, 0.25, 0.5, 1.0, 2.0])
 @settings(max_examples=80, deadline=None)
 def test_ttv_batch_is_bitwise_the_scalar_recurrence(values, cs):
-    batch = truncvar._ttv_batch(values, cs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(truncvar, "STAGE_CELLS", _CELLS)
+        batch = truncvar._ttv_batch(values, cs)
     for c, out in zip(cs, batch):
         scalar = np.asarray([truncvar._sweep_from_values(row, c) for row in values])
         assert out.tobytes() == scalar.tobytes()
+
+
+def test_ttv_batch_edge_shapes():
+    values = np.cumsum(np.random.default_rng(5).standard_normal((3, 40)), axis=1)
+    cs = [0.0, 0.25]
+    # no thresholds, no rows, one column: zeros of the stacked shape
+    for x, c, shape in ((values, [], (0, 3)), (values[:0], cs, (2, 0)), (values[:, :1], cs, (2, 3))):
+        out = truncvar._ttv_batch(x, c)
+        assert out.shape == shape
+        assert out.tobytes() == np.zeros(shape).tobytes()
+    out = truncvar._ttv_batch(values, 0.25)
+    assert out.shape == (3,)
+    assert out.tobytes() == (_ttv_batch_reference(values, 0.25) + 0.0).tobytes()
 
 
 def test_ttv_batch_memory_stays_bounded():
@@ -255,6 +285,21 @@ def test_ttv_batch_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     # signed columns are staged a chunk at a time: no whole-matrix copy
+    assert peak < values.nbytes / 8
+
+
+def test_ttv_batch_memory_stays_bounded_on_a_wide_state():
+    # 256 rows x 9 thresholds: a stage counted in columns, not cells, would
+    # outgrow the bound
+    values = np.cumsum(np.random.default_rng(3).standard_normal((256, 2049)), axis=1)
+    cs = [float(m) ** -2 for m in range(4, 13)]
+    truncvar._ttv_batch(values, cs)
+    tracemalloc.start()
+    try:
+        truncvar._ttv_batch(values, cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < values.nbytes / 8
 
 

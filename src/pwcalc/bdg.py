@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import StoppingSequence
+from .partitions import GridSpec, StoppingSequence, _stop_values
 from .paths import REL_TOL, SampledPath, _frozen
 
 # cells per block of the p > 1 weight kernel: its three scratch rows stay
@@ -271,3 +271,11 @@ def certify_path(path: SampledPath, seq: StoppingSequence, p: float = 1.0) -> Bd
     """
     s = DiscreteSequence(seq.values - seq.values[0])
     return certificate_p1(s) if p == 1.0 else certificate_p(s, p)
+
+
+def _terminal_sequence(path: SampledPath, grid: GridSpec) -> DiscreteSequence:
+    """X(tau_n) - X_0 at the stops of the path's level sequence on grid,
+    closed by X_T - X_0."""
+    w = _stop_values(path, grid.mesh, grid.offset)
+    w -= w[0]
+    return DiscreteSequence(np.append(w, path.values[-1] - path.values[0]))

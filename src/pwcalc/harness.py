@@ -29,8 +29,8 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from . import bdg, integration, partitions, paths, quadvar, truncvar
-from .partitions import GridSpec, StoppingSequence, lebesgue_sequence
+from . import bdg, integration, partitions, quadvar, truncvar
+from .partitions import GridSpec, lebesgue_sequence
 from .paths import (
     REL_TOL,
     PathGeneratorConfig,
@@ -54,6 +54,9 @@ EXPERIMENTS = (
     "distance-rates",
 )
 
+# the list an experiment sweeps: empty, it would check nothing
+_SWEPT_LIST = {"ttv-converge": "c_exponents", "bdg-certify": "p_list", "bdg-mc": "p_list"}
+
 
 def thread_count() -> int:
     raw = os.environ.get("PWCALC_THREADS", "")
@@ -75,7 +78,7 @@ def _usable_cpus() -> int:
 PARALLEL_MIN_SAMPLES = 2**15
 
 
-def _workers(items: int, samples: float = math.inf) -> int:
+def _workers(items: int, samples: int) -> int:
     """Pool size for a map over items, each a path of at least `samples`
     samples: 1 below PARALLEL_MIN_SAMPLES, else one worker per item and per
     CPU the process may run on, up to PWCALC_THREADS."""
@@ -84,23 +87,21 @@ def _workers(items: int, samples: float = math.inf) -> int:
     return min(thread_count(), items, _usable_cpus())
 
 
-def parallel_map(fn, items, workers: int | None = None):
+def parallel_map(fn, items, workers: int):
     """Map over ensemble members; results keyed by index, so any schedule
     yields the same list.
 
-    workers is the pool size, by default _workers(len(items)); one worker
+    workers is the pool size, which _ensemble_workers sizes; one worker
     loops on the calling thread. Each worker keeps its own bdg weight rows.
     An ensemble gets a pool only when its members reach PARALLEL_MIN_SAMPLES
-    samples (_ensemble_workers): two threads that each make many short numpy
-    calls hand the GIL back and forth on every call that releases it, which
-    costs more than the second core gains. The sandwich preset (100 members
-    of 2^12 steps) took 1.43 s on one thread and 2.28 s on two (2-core box).
+    samples: two threads that each make many short numpy calls hand the GIL
+    back and forth on every call that releases it, which costs more than the
+    second core gains. The sandwich preset (100 members of 2^12 steps) took
+    1.43 s on one thread and 2.28 s on two (2-core box).
     """
-    items = list(items)
-    n = _workers(len(items)) if workers is None else workers
-    if n <= 1:
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -147,12 +148,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed ({self.seed}) must be >= 0")
         if self.m_lo < 0:
             raise ValueError(f"m_lo ({self.m_lo}) must be >= 0")
         if self.m_lo > self.m_hi:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
-        if not all(c > 0 for c in self.c_exponents):
-            raise ValueError(f"c_exponents {self.c_exponents} must all be > 0")
+        if not all(0 < c < math.inf for c in self.c_exponents):
+            raise ValueError(f"c_exponents {self.c_exponents} must all be > 0 and finite")
+        if not all(1 <= p < math.inf for p in self.p_list):
+            raise ValueError(f"p_list {self.p_list} must all be >= 1 and finite")
+        name = _SWEPT_LIST.get(self.experiment)
+        if name and not getattr(self, name):
+            raise ValueError(f"{name} must not be empty for {self.experiment}")
         if self.threshold is not None and not self.threshold > 0:
             raise ValueError(f"threshold ({self.threshold}) must be None or > 0")
         if self.n_levels < 1:
@@ -337,13 +345,6 @@ def _non_increasing(values) -> bool:
     return all(vals[i + 1] <= vals[i] + slack for i in range(len(vals) - 1))
 
 
-def _terminal_qv(x: SampledPath, grid: GridSpec) -> float:
-    """Simple QV of x at its horizon along its level sequence on grid; the
-    last stop is the one at or before the horizon."""
-    w = partitions._stop_values(x, grid.mesh, grid.offset)
-    return float(quadvar._qv_along(x, w, np.asarray([x.horizon]), np.asarray([w.size - 1]))[0])
-
-
 # --------------------------------------------------------------------------
 # experiments
 
@@ -365,7 +366,8 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
         ]
         sigma = hitting_time_abs(x, 1.0 + float(np.max(np.abs(x.values))))
         return rows, (
-            integration._witness_gap(x, seq, sigma), _bdg_witness_gap(x, seq, cert1, sigma)
+            integration._witness_gap(x, seq, sigma),
+            integration._bdg_witness_gap(x, seq, cert1, sigma),
         )
 
     per_member, gaps = zip(*_each_member(cfg, one))
@@ -387,17 +389,6 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
         ),
     ]
     return checks, {"certificates": rows}
-
-
-def _bdg_witness_gap(
-    x: SampledPath, seq: StoppingSequence, cert: bdg.BdgCertificate, sigma: float
-) -> float:
-    """Capital of the p = 1 certificate strategy vs its discrete integral at
-    stops, up to sigma."""
-    cap = integration.capital_process(integration._bdg_witness(seq, cert.h, sigma), x)
-    at_stops = paths.evaluate_many(cap, seq.times)
-    live = seq.times <= sigma
-    return float(np.max(np.abs(at_stops[live] - cert.hx[live]))) if np.any(live) else 0.0
 
 
 def _exp_qv_converge(cfg: ExperimentConfig):
@@ -449,9 +440,9 @@ def _exp_qv_converge(cfg: ExperimentConfig):
 
 
 def _exp_ttv_converge(cfg: ExperimentConfig):
-    exps = list(cfg.c_exponents) or list(range(4, 13))
+    exps = list(cfg.c_exponents)
     grid = GridSpec(2.0**-cfg.est_level, 0.0)
-    values, est = zip(*_each_member(cfg, lambda i, x: (x.values, _terminal_qv(x, grid))))
+    values, est = zip(*_each_member(cfg, lambda i, x: (x.values, quadvar._terminal_qv(x, grid))))
     est = np.asarray(est)
     cs = [float(m) ** -2 for m in exps]
     ttv = truncvar._ttv_batch(np.stack(values), cs)
@@ -517,7 +508,7 @@ def _exp_isometry_mc(cfg: ExperimentConfig):
         resolved = dataclasses.replace(cfg, generator=gen)
 
     def one(i, x):
-        return float((x.values[-1] - x.values[0]) ** 2), _terminal_qv(x, grid)
+        return float((x.values[-1] - x.values[0]) ** 2), quadvar._terminal_qv(x, grid)
 
     disp, qv = (np.asarray(col) for col in zip(*_each_member(resolved, one)))
     diff_mean, diff_se = _mean_se(disp - qv)
@@ -552,9 +543,7 @@ def _exp_bdg_mc(cfg: ExperimentConfig):
     grid = GridSpec(0.05, 0.0)
 
     def one(i, x):
-        w = partitions._stop_values(x, grid.mesh, grid.offset)
-        w -= w[0]
-        s = bdg.DiscreteSequence(np.append(w, x.values[-1] - x.values[0]))
+        s = bdg._terminal_sequence(x, grid)
         return float(s.abs_max[-1]), float(s.bracket[-1])
 
     xs, br = (np.asarray(col) for col in zip(*_each_member(cfg, one)))
@@ -588,7 +577,7 @@ def _exp_integral_converge(cfg: ExperimentConfig):
         mf = integration.model_free_integral(x, x, cfg.integrand_level + 2)
         g, gx = mf.steps[cfg.integrand_level], mf.curves[cfg.integrand_level]
         hy = integration.capital_process(h, y)
-        gh = _product_step(g, h)
+        gh = integration._product_step(g, h)
 
         def gap(d):
             # half-mesh offset keeps the grid off the integrand's stop levels
@@ -632,15 +621,6 @@ def _localization_check(x: SampledPath, m_max: int) -> Check:
     except integration.ConsistencyError as exc:
         return Check("localization-consistent", "pathwise", False, {"error": str(exc)})
     return Check("localization-consistent", "pathwise", True, {})
-
-
-def _product_step(g: integration.StepProcess, h: integration.StepProcess):
-    """Step process on merged stops with values G*H (left limits)."""
-    times, ig = partitions._merge_stops(h.seq.times, g.seq.times)
-    _, ih = partitions._merge_stops(g.seq.times, h.seq.times)
-    vals = g.values[ig] * h.values[ih]
-    seq = StoppingSequence(times, vals, g.seq.horizon)
-    return integration.StepProcess(seq, vals)
 
 
 def _exp_distance_rates(cfg: ExperimentConfig):

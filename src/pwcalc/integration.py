@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdg import certify_path
+from .bdg import BdgCertificate, certify_path
 from .partitions import StoppingSequence, _level_sequence, _merge_stops
 from .paths import REL_TOL, SampledPath, _exit_times, _frozen, _interp, evaluate_many
 from .paths import hitting_time_abs
@@ -77,13 +77,13 @@ def witness_strategy_qv(x: SampledPath, seq: StoppingSequence, threshold: float)
     Positions are 2 (X(tau_n) - X_0), zeroed from the first stop at or past
     sigma; the identity telescopes exactly at every stamp t <= sigma.
     """
-    return _qv_witness(seq, hitting_time_abs(x, threshold))
-
-
-def _qv_witness(seq: StoppingSequence, sigma: float) -> StepProcess:
-    """witness_strategy_qv for a sigma already solved."""
     w = seq.values
-    g = 2.0 * (w - w[0])
+    return _stopped_strategy(seq, 2.0 * (w - w[0]), hitting_time_abs(x, threshold))
+
+
+def _stopped_strategy(seq: StoppingSequence, positions: np.ndarray, sigma: float) -> StepProcess:
+    """A copy of positions held along seq, zeroed from the first stop at or past sigma."""
+    g = np.array(positions)
     g[seq.times >= sigma] = 0.0
     return StepProcess(seq, g)
 
@@ -101,7 +101,8 @@ def witness_identity_gap(x: SampledPath, seq: StoppingSequence, threshold: float
 
 def _witness_gap(x: SampledPath, seq: StoppingSequence, sigma: float) -> float:
     """witness_identity_gap for a sigma already solved."""
-    cap = capital_process(_qv_witness(seq, sigma), x)
+    w = seq.values
+    cap = capital_process(_stopped_strategy(seq, 2.0 * (w - w[0]), sigma), x)
     stamps = _prefix_stamps(cap.times, min(sigma, x.horizon))
     lhs = evaluate_many(cap, stamps)
     dx = evaluate_many(x, stamps) - x.values[0]
@@ -118,14 +119,15 @@ def bdg_witness_strategy(
     the shifted sampled sequence.
     """
     cert = certify_path(x, seq, p)
-    return _bdg_witness(seq, cert.h if p == 1.0 else cert.g, hitting_time_abs(x, threshold))
+    return _stopped_strategy(seq, cert.h if p == 1.0 else cert.g, hitting_time_abs(x, threshold))
 
 
-def _bdg_witness(seq: StoppingSequence, weights: np.ndarray, sigma: float) -> StepProcess:
-    """bdg_witness_strategy for certificate weights and a sigma already solved."""
-    g = weights.copy()
-    g[seq.times >= sigma] = 0.0
-    return StepProcess(seq, g)
+def _bdg_witness_gap(x: SampledPath, seq: StoppingSequence, cert: BdgCertificate, sigma: float):
+    """Max |capital - (h.x)| at stops up to sigma, for the p = 1 certificate of x along seq."""
+    cap = capital_process(_stopped_strategy(seq, cert.h, sigma), x)
+    at_stops = evaluate_many(cap, seq.times)
+    live = seq.times <= sigma
+    return float(np.max(np.abs(at_stops[live] - cert.hx[live]))) if np.any(live) else 0.0
 
 
 def step_approximation(f: SampledPath, m: int) -> StepProcess:
@@ -185,23 +187,31 @@ def _integrand_times(g) -> np.ndarray:
     return g.seq.times if isinstance(g, StepProcess) else g.times
 
 
-def stieltjes_integral(g, v: SampledPath, t: float | None = None) -> float:
-    """Left-point Stieltjes integral of g against the sampled curve v on [0, t].
+def _product_step(g: StepProcess, h: StepProcess) -> StepProcess:
+    """Step process on merged stops with values G*H (left limits)."""
+    times, ig = _merge_stops(h.seq.times, g.seq.times)
+    _, ih = _merge_stops(g.seq.times, h.seq.times)
+    vals = g.values[ig] * h.values[ih]
+    return StepProcess(StoppingSequence(times, vals, g.seq.horizon), vals)
 
-    Exact when g is a step process whose stops are in the mesh; for sampled
-    integrands it is the left-point rule on the union mesh. The integrator
-    must have finite variation; a blowup guard rejects oscillation sums past
-    1e12.
+
+def stieltjes_integral(g: StepProcess, v: SampledPath, t: float | None = None) -> float:
+    """Left-point Stieltjes integral of the step process g against v on [0, t].
+
+    Exact, on a mesh of every stop of g and stamp of v. The integrator must
+    have finite variation; a blowup guard rejects oscillation sums past 1e12.
     """
+    if not isinstance(g, StepProcess):
+        raise TypeError("integrand must be a StepProcess")
     upto = v.horizon if t is None else t
     if not 0.0 <= upto <= v.horizon:
         raise ValueError("integration limit out of range")
     if float(np.sum(np.abs(np.diff(v.values)))) > _MAX_VARIATION:
         raise ValueError("integrator variation exceeds the finite-variation guard")
-    mesh = _prefix_stamps(np.union1d(v.times, _integrand_times(g)), upto)
-    gv = _left_values(g, mesh)
+    stamps, idx = _merge_stops(v.times, g.seq.times)
+    mesh = _prefix_stamps(stamps, upto)
     dv = np.diff(evaluate_many(v, mesh))
-    return float(np.sum(gv * dv))
+    return float(np.sum(g.values[idx[: mesh.size - 1]] * dv))
 
 
 def _stopped_path(f: SampledPath, sigma: float) -> SampledPath:

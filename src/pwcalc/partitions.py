@@ -91,7 +91,7 @@ def _merge_stops(times: np.ndarray, stops: np.ndarray):
     return merged[last], idx[last]
 
 
-def _level_runs(path: SampledPath, d: float, offsets, max_hits: int = MAX_GRID_HITS):
+def _level_runs(path: SampledPath, d: float, offsets):
     """The grid sweep: the level runs of the path on d*Z + r for each r of offsets.
 
     Returns (start_on_grid, runs). start_on_grid[k] says whether X_0 lies on
@@ -103,9 +103,9 @@ def _level_runs(path: SampledPath, d: float, offsets, max_hits: int = MAX_GRID_H
     hits share a level.
 
     No temporary holds more cells than a single-offset block of _BLOCK
-    segments, and the block buffers are allocated once per call. The
-    resource limit is checked per offset, on its running count of swept
-    levels, so it trips before any reader expands a hit.
+    segments, and the block buffers are allocated once per call. The limit
+    MAX_GRID_HITS is read as the sweep runs and checked per offset, on its
+    running count of swept levels, so it trips before any reader expands a hit.
     """
     v, offsets = path.values, list(offsets)
     vmax, vmin, v0 = float(v.max()), float(v.min()), float(v[0])
@@ -180,10 +180,10 @@ def _level_runs(path: SampledPath, d: float, offsets, max_hits: int = MAX_GRID_H
         for j in live:
             k = ks[j]
             swept[k] += int(c[at[j] : at[j + 1]].sum())
-            if swept[k] > max_hits:
+            if swept[k] > MAX_GRID_HITS:
                 raise ResourceLimitError(
                     f"grid hit extraction would produce over {swept[k]:.3g} stops "
-                    f"(limit {max_hits:g})"
+                    f"(limit {MAX_GRID_HITS:g})"
                 )
             again[at[j]] = prev[k] is not None and first[at[j]] == prev[k]
             prev[k] = int(last[at[j + 1] - 1])
@@ -259,13 +259,13 @@ def _hit_times(path: SampledPath, seg, own, lev, d: float, r: float) -> np.ndarr
     return ts
 
 
-def _grid_hits(path: SampledPath, d: float, r: float, max_hits: int = MAX_GRID_HITS):
+def _grid_hits(path: SampledPath, d: float, r: float):
     """All successive different-level grid hits of the path, in time order.
 
     Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
     indices, hit value = level * d + r. hit_times excludes time 0.
     """
-    (on_grid,), ((seg, cnt, first, step),) = _level_runs(path, d, [r], max_hits)
+    (on_grid,), ((seg, cnt, first, step),) = _level_runs(path, d, [r])
     own, lev = _run_levels(cnt, first, step)
     return _hit_times(path, seg, own, lev, d, r), lev.astype(np.int64), on_grid
 
@@ -315,16 +315,14 @@ def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None 
     return np.where(hits > 0, hits - 1 + on_grid, 0)
 
 
-def lebesgue_sequence(
-    path: SampledPath, grid: GridSpec, max_hits: int = MAX_GRID_HITS
-) -> StoppingSequence:
-    """Level sequence of the path on the grid, stop values snapped to it."""
-    return _level_sequence(path, grid.mesh, grid.offset, max_hits)
+def lebesgue_sequence(path: SampledPath, grid: GridSpec) -> StoppingSequence:
+    """Level sequence on the grid, values snapped; ResourceLimitError past MAX_GRID_HITS stops."""
+    return _level_sequence(path, grid.mesh, grid.offset)
 
 
-def _level_sequence(path: SampledPath, d: float, r: float, max_hits=MAX_GRID_HITS):
+def _level_sequence(path: SampledPath, d: float, r: float):
     """Stops at 0 and at each grid hit of the path on d*Z + r, values snapped."""
-    ts, lev, _ = _grid_hits(path, d, r, max_hits)
+    ts, lev, _ = _grid_hits(path, d, r)
     return StoppingSequence(np.concatenate(([0.0], ts)), _snap(path, lev, d, r), path.horizon)
 
 

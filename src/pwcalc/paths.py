@@ -26,8 +26,9 @@ REL_TOL = 1e-9
 
 GENERATOR_KINDS = ("wiener", "geometric", "zigzag", "constant", "sine", "custom-seeded")
 
+# samples of one generated member, chord or Brownian-bridge resolved
+MAX_SAMPLES = 2**24
 # Brownian-bridge resolution of wiener members (see _resolve_bridge)
-MAX_BRIDGE_SAMPLES = 2**24
 _BRIDGE_LEAF = 0.5  # leaf variance bound, in mesh^2 units
 _BRIDGE_BLOCK = 32768  # leaves per block: bounds the temporaries, keeps each numpy call long
 
@@ -170,10 +171,14 @@ class PathGeneratorConfig:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not (self.horizon > 0.0 and self.step > 0.0):
-            raise ValueError("horizon and step must be positive")
+        if not (0.0 < self.horizon < math.inf and 0.0 < self.step < math.inf):
+            raise ValueError("horizon and step must be positive and finite")
         if self.step > self.horizon:
             raise ValueError("step must not exceed horizon")
+        if self.horizon / self.step == math.inf:
+            raise ValueError("horizon / step overflows a float")
+        if self.seed < 0:
+            raise ValueError(f"seed ({self.seed}) must be >= 0")
         if self.bridge_grid is not None:
             if self.kind != "wiener":
                 raise ValueError("bridge_grid applies to wiener paths only")
@@ -255,8 +260,13 @@ def _check_json_fields(cls, d, what: str) -> None:
 
 
 def generate(config: PathGeneratorConfig) -> SampledPath:
-    """Deterministic path from config; same config and seed, same floats."""
+    """Deterministic path from config; same config and seed, same floats.
+
+    Raises ResourceLimitError for a member of more than MAX_SAMPLES samples.
+    """
     n = config.segments
+    if n >= MAX_SAMPLES:
+        raise ResourceLimitError(f"member would have {n + 1:.3g} samples (limit {MAX_SAMPLES:g})")
     times = np.linspace(0.0, config.horizon, n + 1)
     dt = config.horizon / n
     kind = config.kind
@@ -343,10 +353,10 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
     # 2^depth leaves of variance at most _BRIDGE_LEAF per step; a depth whose
     # leaves alone pass the limit, an infinite one included, is never shifted
     depth = max(0, math.ceil(math.log2(w0 / _BRIDGE_LEAF))) if w0 < math.inf else math.inf
-    if depth >= MAX_BRIDGE_SAMPLES.bit_length() or 3 * n << depth >= MAX_BRIDGE_SAMPLES:
+    if depth >= MAX_SAMPLES.bit_length() or 3 * n << depth >= MAX_SAMPLES:
         raise ResourceLimitError(
             f"bridge resolution needs 2^{depth} leaves on each of {n} steps "
-            f"(limit {MAX_BRIDGE_SAMPLES:g} samples)"
+            f"(limit {MAX_SAMPLES:g} samples)"
         )
     leaves = 1 << depth
     bound = 3 * n * leaves + 1

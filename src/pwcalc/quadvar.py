@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import GridSpec, StoppingSequence, lebesgue_sequence, merge, verify_fine_cover
-from .partitions import _merge_stops
+from .partitions import _merge_stops, _stop_values
 from .paths import REL_TOL, SampledPath, _interp, evaluate_many
 
 
@@ -60,6 +60,12 @@ def _qv_along(path: SampledPath, w: np.ndarray, ts: np.ndarray, idx: np.ndarray)
     out *= out
     out += np.take(cum, idx, out=buf, mode="clip")
     return out
+
+
+def _terminal_qv(path: SampledPath, grid: GridSpec) -> float:
+    """Simple QV of the path at its horizon along its level sequence on grid."""
+    w = _stop_values(path, grid.mesh, grid.offset)
+    return float(_qv_along(path, w, np.asarray([path.horizon]), np.asarray([w.size - 1]))[0])
 
 
 def qcov_at(

@@ -246,7 +246,8 @@ def test_weights_do_not_depend_on_the_thread(monkeypatch):
     items = [(p, _level_walk(mesh)) for mesh in (0.016, 0.033, 0.04) for p in (1.5, 3.0)]
     serial = [bdg._fg(p, s) for p, s in items]
     monkeypatch.setenv("PWCALC_THREADS", "2")
-    threaded = harness.parallel_map(lambda item: bdg._fg(*item), items)
+    workers = harness._workers(len(items), harness.PARALLEL_MIN_SAMPLES)
+    threaded = harness.parallel_map(lambda item: bdg._fg(*item), items, workers)
     for (f, g), (ft, gt) in zip(serial, threaded):
         assert f.tobytes() == ft.tobytes() and g.tobytes() == gt.tobytes()
 

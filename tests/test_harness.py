@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pwcalc import ExperimentConfig, GridSpec, PathGeneratorConfig, default_config, run
-from pwcalc import bdg, cli, generate, harness, integration, lebesgue_sequence, qv_at
+from pwcalc import bdg, cli, generate, harness, integration, lebesgue_sequence, quadvar, qv_at
 from pwcalc.harness import (
     EXPERIMENTS,
     _non_increasing,
@@ -69,10 +69,14 @@ def test_tree_sum_matches_sum():
     assert tree_mean([2.0, 4.0]) == 3.0
 
 
+# members long enough for a pool
+_LONG = harness.PARALLEL_MIN_SAMPLES
+
+
 def test_parallel_map_is_ordered(monkeypatch):
     monkeypatch.setenv("PWCALC_THREADS", "3")
     assert thread_count() == 3
-    out = parallel_map(lambda i: i * i, range(20))
+    out = parallel_map(lambda i: i * i, range(20), harness._workers(20, _LONG))
     assert out == [i * i for i in range(20)]
     monkeypatch.setenv("PWCALC_THREADS", "junk")
     assert thread_count() == 1
@@ -101,7 +105,9 @@ def test_parallel_map_pool_is_bounded_by_cpus_and_items(monkeypatch):
     cpus = harness._usable_cpus()
     for n in (2, 50):
         pools.clear()
-        assert parallel_map(lambda i: -i, range(n)) == [-i for i in range(n)]
+        assert parallel_map(lambda i: -i, range(n), harness._workers(n, _LONG)) == [
+            -i for i in range(n)
+        ]
         workers = min(n, cpus)
         assert pools == ([workers] if workers > 1 else [])
 
@@ -242,7 +248,7 @@ def test_terminal_qv_is_bitwise_the_qv_at_form(mesh, offset):
     for seed in range(4):
         x = generate(PathGeneratorConfig("wiener", step=2.0**-10, seed=seed))
         want = float(qv_at(x, lebesgue_sequence(x, grid), np.asarray([x.horizon]))[0])
-        assert struct.pack("d", harness._terminal_qv(x, grid)) == struct.pack("d", want)
+        assert struct.pack("d", quadvar._terminal_qv(x, grid)) == struct.pack("d", want)
 
 
 def test_bdg_certify_smoke():
@@ -434,16 +440,26 @@ def test_empty_m_range_is_rejected(tmp_path):
         ("threshold", {"threshold": -1.0}),
         ("threshold", {"threshold": 0.0}),
         ("threshold", {"threshold": float("nan")}),
+        ("c_exponents", {"c_exponents": (float("inf"),)}),
+        ("c_exponents", {"c_exponents": ()}),
+        ("p_list", {"p_list": (0.5,)}),
+        ("p_list", {"p_list": (float("nan"),)}),
+        ("p_list", {"p_list": (float("inf"),)}),
+        ("p_list", {"p_list": ()}),
+        ("seed", {"seed": -5}),
     ],
 )
 def test_config_out_of_range_is_named(tmp_path, field, bad):
     # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows;
     # no localisation level makes every distance 0; a NaN compares false
-    # with every bound, so a sandwich stopped at it would never stop
-    experiment = {"c_exponents": "ttv-converge", "threshold": "sandwich"}.get(field, "qv-converge")
+    # with every bound, so a sandwich stopped at it would never stop; C_p
+    # needs 1 <= p < inf; an empty swept list checks nothing
+    experiment = {"c_exponents": "ttv-converge", "threshold": "sandwich", "p_list": "bdg-mc"}.get(
+        field, "qv-converge"
+    )
     with pytest.raises(ValueError, match=field):
         _tiny(experiment, **bad)
-    doc = _tiny(experiment).to_json_dict()
+    doc = _tiny(experiment, c_exponents=(1,)).to_json_dict()
     doc.update({k: list(v) if isinstance(v, tuple) else v for k, v in bad.items()})
     f = tmp_path / "c.json"
     f.write_text(json.dumps(doc))

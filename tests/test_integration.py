@@ -201,12 +201,14 @@ def test_stieltjes_left_point():
     assert stieltjes_integral(g, v, 0.0) == 0.0
     with pytest.raises(ValueError):
         stieltjes_integral(g, v, 2.0)
+    with pytest.raises(TypeError):
+        stieltjes_integral(v, v)
 
 
 def test_stieltjes_variation_guard():
     v = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 2e12]))
-    g = SampledPath(np.asarray([0.0, 1.0]), np.ones(2))
-    with pytest.raises(ValueError):
+    g = StepProcess(StoppingSequence(np.zeros(1), np.ones(1), 1.0), np.ones(1))
+    with pytest.raises(ValueError, match="finite-variation guard"):
         stieltjes_integral(g, v)
 
 

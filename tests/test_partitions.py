@@ -160,9 +160,28 @@ def test_merge_rejects_horizon_mismatch():
         merge(a, b, ZIGZAG3)
 
 
-def test_resource_limit_guard():
+def test_resource_limit_guard(monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_GRID_HITS", 10)
     with pytest.raises(ResourceLimitError):
-        lebesgue_sequence(ZIGZAG3, GridSpec(0.01), max_hits=10)
+        lebesgue_sequence(ZIGZAG3, GridSpec(0.01))
+
+
+def test_every_reader_honours_the_hit_limit_at_call_time(monkeypatch):
+    # one segment sweeping 300 levels: every reader of the sweep reads the
+    # limit when it runs, not when its module was imported
+    x = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 3.0]))
+    readers = (
+        lambda: lebesgue_sequence(x, GridSpec(0.01)),
+        lambda: _grid_hits(x, 0.01, 0.0),
+        lambda: _stop_values(x, 0.01, 0.0),
+        lambda: partitions._transition_counts(x, 0.01, [0.0]),
+    )
+    for read in readers:
+        read()
+    monkeypatch.setattr(partitions, "MAX_GRID_HITS", 5)
+    for read in readers:
+        with pytest.raises(ResourceLimitError, match="limit 5"):
+            read()
 
 
 @pytest.mark.parametrize(
@@ -353,17 +372,19 @@ def test_stop_values_are_the_sequence_values_without_hit_times(monkeypatch, mesh
     assert [_stop_values(x, mesh, r).tobytes() for x in paths] == want
 
 
-def test_every_offset_of_a_sweep_is_guarded():
+def test_every_offset_of_a_sweep_is_guarded(monkeypatch):
     # levels 1..4 on offset 0 but 1..3 on offset 0.1: the limit of 3 stops
     # only the first
     x = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.1, 1.0]))
-    for offsets, limited in (([0.1], False), ([0.1, 0.0], True), ([0.0, 0.1], True)):
-        if limited:
-            with pytest.raises(ResourceLimitError):
-                _level_runs(x, 0.25, offsets, max_hits=3)
-        else:
-            runs = _level_runs(x, 0.25, offsets, max_hits=3)[1]
-            assert [cnt.tolist() for _, cnt, _, _ in runs] == [[3]]
+    with monkeypatch.context() as patch:
+        patch.setattr(partitions, "MAX_GRID_HITS", 3)
+        for offsets, limited in (([0.1], False), ([0.1, 0.0], True), ([0.0, 0.1], True)):
+            if limited:
+                with pytest.raises(ResourceLimitError):
+                    _level_runs(x, 0.25, offsets)
+            else:
+                runs = _level_runs(x, 0.25, offsets)[1]
+                assert [cnt.tolist() for _, cnt, _, _ in runs] == [[3]]
     # (r - min) / mesh is 2^53 - 1 on offset 0 but rounds to 2^53 on offset 0.5;
     # past the 2^53 guard, the 2^53 - 1 levels of offset 0 trip the hit limit
     low = SampledPath(np.asarray([0.0, 1.0]), np.asarray([-(2.0**53 - 1.0), 0.0]))
@@ -406,6 +427,7 @@ def test_hit_limit_trips_before_any_hit_is_expanded(monkeypatch):
         raise AssertionError("hits expanded before the limit was checked")
 
     monkeypatch.setattr(partitions, "_run_levels", no_expansion)
+    monkeypatch.setattr(partitions, "MAX_GRID_HITS", 20)
     for reader in (_grid_hits, partitions._level_sequence):
         with pytest.raises(ResourceLimitError):
-            reader(x, 0.25, 0.0, max_hits=20)
+            reader(x, 0.25, 0.0)

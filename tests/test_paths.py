@@ -320,6 +320,39 @@ def test_generator_validation():
         PathGeneratorConfig("wiener", step=2.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"step": 5e-324},  # horizon / step overflows to inf
+        {"step": 1e-310},
+        {"horizon": math.inf},
+        {"seed": -5},
+    ],
+)
+def test_generator_edges_fail_when_the_config_is_built(kw):
+    with pytest.raises(ValueError):
+        PathGeneratorConfig("wiener", **kw)
+
+
+def test_one_sample_limit_bounds_every_member(monkeypatch):
+    # the limit is patched small, so no case allocates at full size
+    monkeypatch.setattr(paths, "MAX_SAMPLES", 1024)
+    for kind in paths.GENERATOR_KINDS:
+        assert len(generate(PathGeneratorConfig(kind, step=2.0**-9))) == 513
+    # 16 steps of 2^5 leaves, up to 3 samples a leaf: 1537 samples at most
+    with pytest.raises(ResourceLimitError):
+        generate(PathGeneratorConfig("wiener", step=2.0**-4, bridge_grid=(2.0**-4, 0.0)))
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("a member past the limit allocated its samples")
+
+    # chord members are refused before their sample times are made
+    monkeypatch.setattr(np, "linspace", allocated)
+    for kind in paths.GENERATOR_KINDS:
+        with pytest.raises(ResourceLimitError, match="limit 1024"):
+            generate(PathGeneratorConfig(kind, step=2.0**-10))
+
+
 # ------------------------------------------------ Brownian-bridge resolution
 
 

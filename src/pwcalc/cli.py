@@ -4,6 +4,13 @@
                         [--strict-mc] [--oracle]
 
 Without --config the experiment runs with its preset configuration.
+--seed sets the experiment's one seed: member i is the generator at
+seed + i, so a generator seed in a config file is replaced by the config's
+seed. An isometry-mc config may not set generator.bridge_grid: the
+experiment resolves its wiener members on its own check grid 2^-m_hi. A
+config file or override that is out of range stops the command with one
+line naming the file or the override.
+
 Exit status is nonzero when any pathwise check fails; --strict-mc
 promotes statistical warnings to failures as well.
 """
@@ -42,30 +49,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the command-line option behind each ExperimentConfig field it overrides
+_OPTIONS = {
+    "seed": "--seed", "output_dir": "--out", "strict_mc": "--strict-mc", "oracle": "--oracle"
+}
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = ExperimentConfig.from_json_dict(json.load(fh))
-        except ValueError as exc:  # malformed JSON too
-            raise SystemExit(f"{args.config}: {exc}") from None
-        if cfg.experiment != args.experiment:
-            raise SystemExit(
-                f"config is for {cfg.experiment!r}, command line says {args.experiment!r}"
-            )
-    else:
-        cfg = default_config(args.experiment)
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-        updates["generator"] = dataclasses.replace(cfg.generator, seed=args.seed)
     if args.out is not None:
         updates["output_dir"] = args.out
     if args.strict_mc:
         updates["strict_mc"] = True
     if args.oracle:
         updates["oracle"] = True
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    source = args.config
+    try:  # malformed JSON is a ValueError too
+        if args.config:
+            with open(args.config) as fh:
+                cfg = ExperimentConfig.from_json_dict(json.load(fh))
+            if cfg.experiment != args.experiment:
+                raise SystemExit(
+                    f"config is for {cfg.experiment!r}, command line says {args.experiment!r}"
+                )
+        else:
+            cfg = default_config(args.experiment)
+        source = " ".join(_OPTIONS[name] for name in updates)
+        return dataclasses.replace(cfg, **updates)
+    except ValueError as exc:
+        raise SystemExit(f"{source}: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -126,6 +126,10 @@ def tree_mean(values) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings. seed is the experiment's one seed: building
+    the config sets its generator's seed to it, and member i is the generator
+    at seed + i."""
+
     experiment: str
     generator: PathGeneratorConfig
     ensemble_size: int = 100
@@ -168,6 +172,14 @@ class ExperimentConfig:
         for name in ("qv_level", "est_level", "integrand_level"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} ({getattr(self, name)}) must be >= 0")
+        if self.experiment == "isometry-mc" and self.generator.bridge_grid is not None:
+            raise ValueError(
+                "generator.bridge_grid must be unset for isometry-mc: it resolves"
+                " wiener members on its check grid 2^-m_hi"
+            )
+        if self.generator.seed != self.seed:
+            gen = dataclasses.replace(self.generator, seed=self.seed)
+            object.__setattr__(self, "generator", gen)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -194,10 +206,10 @@ class ExperimentConfig:
 
 def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
     """Config presets sized to the standing convergence checks."""
-    w = lambda step, **kw: PathGeneratorConfig("wiener", step=step, seed=seed, **kw)
+    w = lambda step: PathGeneratorConfig("wiener", step=step)
     presets = {
         "bdg-certify": ExperimentConfig(
-            "bdg-certify", PathGeneratorConfig("custom-seeded", step=2.0**-8, seed=seed),
+            "bdg-certify", PathGeneratorConfig("custom-seeded", step=2.0**-8),
             ensemble_size=200, p_list=(1.0, 1.5, 2.0, 3.0),
         ),
         "qv-converge": ExperimentConfig(
@@ -225,8 +237,7 @@ def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
             m_lo=0, m_hi=8, qv_level=6, n_levels=8,
         ),
     }
-    cfg = presets[experiment]
-    return dataclasses.replace(cfg, seed=seed)
+    return dataclasses.replace(presets[experiment], seed=seed)
 
 
 @dataclass
@@ -267,9 +278,12 @@ class Report:
         )
 
 
-def _member(cfg: ExperimentConfig, i: int) -> SampledPath:
-    """Ensemble member i: the generator at seed cfg.seed + i."""
-    return generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i))
+def _member(
+    cfg: ExperimentConfig, i: int, generator: PathGeneratorConfig | None = None
+) -> SampledPath:
+    """Ensemble member i: cfg's generator, or generator in its stead, at seed
+    cfg.seed + i."""
+    return generate(dataclasses.replace(generator or cfg.generator, seed=cfg.seed + i))
 
 
 def _ensemble_workers(cfg: ExperimentConfig) -> int:
@@ -277,11 +291,13 @@ def _ensemble_workers(cfg: ExperimentConfig) -> int:
     return _workers(cfg.ensemble_size, cfg.generator.segments)
 
 
-def _each_member(cfg: ExperimentConfig, fn) -> list:
+def _each_member(cfg: ExperimentConfig, fn, generator: PathGeneratorConfig | None = None) -> list:
     """[fn(i, member i) for every member i], in member order, whatever the
     thread count."""
     return parallel_map(
-        lambda i: fn(i, _member(cfg, i)), range(cfg.ensemble_size), _ensemble_workers(cfg)
+        lambda i: fn(i, _member(cfg, i, generator)),
+        range(cfg.ensemble_size),
+        _ensemble_workers(cfg),
     )
 
 
@@ -500,17 +516,16 @@ def _exp_sandwich(cfg: ExperimentConfig):
 def _exp_isometry_mc(cfg: ExperimentConfig):
     m = cfg.m_hi
     grid = GridSpec(2.0**-m, 0.0)
-    resolved = cfg
-    if cfg.generator.kind == "wiener":
+    gen = cfg.generator
+    if gen.kind == "wiener":
         # E[X_T^2] = E[QV_T] needs a martingale between samples: resolve each
         # member's Brownian bridges on the grid the check uses
-        gen = dataclasses.replace(cfg.generator, bridge_grid=(grid.mesh, grid.offset))
-        resolved = dataclasses.replace(cfg, generator=gen)
+        gen = dataclasses.replace(gen, bridge_grid=(grid.mesh, grid.offset))
 
     def one(i, x):
         return float((x.values[-1] - x.values[0]) ** 2), quadvar._terminal_qv(x, grid)
 
-    disp, qv = (np.asarray(col) for col in zip(*_each_member(resolved, one)))
+    disp, qv = (np.asarray(col) for col in zip(*_each_member(cfg, one, gen)))
     diff_mean, diff_se = _mean_se(disp - qv)
     z = _z(diff_mean, diff_se)
     dm, dse = _mean_se(disp)

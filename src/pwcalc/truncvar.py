@@ -49,15 +49,25 @@ def _window_values(path: SampledPath, t: float) -> np.ndarray:
     return np.append(path.values[:hi], _interp(t, path))
 
 
+# (rows x samples) cells the quadratic references hold at a time
+BLOCK_CELLS = 2**16
+
+
 def ttv_dp_oracle(path: SampledPath, c: float) -> float:
-    """Quadratic-time reference maximization, straight from the definition."""
+    """Quadratic-time reference maximization, straight from the definition:
+    v_i = max over j < i of v_j + max(|x_i - x_j| - c, 0), one row at a time.
+    The gains of a block of rows are computed at once."""
     if not c >= 0.0:
         raise ValueError("threshold c must be nonnegative")
     x = path.values
     n = x.size
     v = np.zeros(n)
-    for i in range(1, n):
-        v[i] = float(np.max(v[:i] + np.maximum(np.abs(x[i] - x[:i]) - c, 0.0)))
+    rows = max(1, BLOCK_CELLS // n)
+    for a in range(1, n, rows):
+        b = min(a + rows, n)
+        gains = np.maximum(np.abs(x[a:b, None] - x[:b]) - c, 0.0)
+        for i, g in enumerate(gains, start=a):
+            v[i] = float(np.max(v[:i] + g[:i]))
     return float(v.max())
 
 
@@ -158,17 +168,25 @@ def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
 
 
 def _crossing_counts_multi(x: np.ndarray, centers: np.ndarray, c: float) -> np.ndarray:
-    """Crossing counts of many bands at once; one pass over the samples."""
+    """Crossing counts of many bands at once.
+
+    Each sample puts a band on a side: +1 at or above its top edge, which
+    wins a tie (lo == hi once c/2 rounds away), -1 at or below its bottom
+    edge, 0 between. A crossing is a decided side opposite the last decided
+    side before it, which a running maximum of indices carries over the 0s.
+    Bands go BLOCK_CELLS // samples at a time, at least one.
+    """
     lo = centers - 0.5 * c
     hi = centers + 0.5 * c
-    state = np.where(x[0] >= hi, 1, np.where(x[0] <= lo, -1, 0))
-    count = np.zeros(centers.size, dtype=np.int64)
-    for v in x[1:]:
-        up = v >= hi
-        dn = (v <= lo) & ~up  # lo == hi once c/2 rounds away: the top edge wins
-        count += up & (state == -1)
-        count += dn & (state == 1)
-        state = np.where(up, 1, np.where(dn, -1, state))
+    count = np.empty(centers.size, dtype=np.int64)
+    bands = max(1, BLOCK_CELLS // x.size)
+    index = np.arange(x.size)
+    for a in range(0, centers.size, bands):
+        up = x >= hi[a : a + bands, None]
+        side = up.astype(np.int8) - ((x <= lo[a : a + bands, None]) & ~up)
+        last = np.maximum.accumulate(np.where(side != 0, index, 0), axis=1)
+        before = np.take_along_axis(side, last[:, :-1], axis=1)
+        count[a : a + bands] = np.count_nonzero(side[:, 1:] * before == -1, axis=1)
     return count
 
 

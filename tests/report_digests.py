@@ -1,10 +1,10 @@
 """sha256 of every artifact the CLI writes, for a fixed small run of each experiment.
 
-Each of the eight experiments runs at its preset with 3 members and seed 11
-(both the experiment and the generator seed, as `--seed 11` sets them), once
-without and once with `--oracle`. The digests of `report.json` and of every
-table CSV are kept in report_digests.json, beside the numpy version and the
-platform that wrote them; `run_metadata.json` holds wall-clock and is left out.
+Each of the eight experiments runs at its preset with 3 members and seed 11,
+once without and once with `--oracle`. The digests of `report.json` and of
+every table CSV are kept in report_digests.json, beside the numpy version and
+the platform that wrote them; `run_metadata.json` holds wall-clock and is left
+out.
 test_report_digests.py compares a fresh run with the file.
 
     python3 tests/report_digests.py           # print what differs from the file
@@ -50,7 +50,6 @@ def compute() -> dict:
                 cfg = dataclasses.replace(
                     preset,
                     seed=SEED,
-                    generator=dataclasses.replace(preset.generator, seed=SEED),
                     ensemble_size=MEMBERS,
                     oracle=oracle,
                     output_dir=str(out),

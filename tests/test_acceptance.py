@@ -32,6 +32,7 @@ from pwcalc import (
     ttv_sweep,
     witness_identity_gap,
 )
+from pwcalc import harness
 
 _CORPUS_SEED = 20260816
 
@@ -95,36 +96,44 @@ def path_pairs():
 # ------------------------------------------------- default experiment runs
 
 
+def _run_preset(name):
+    """The experiment at its preset, on every CPU the process may use: reports
+    do not depend on the thread count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PWCALC_THREADS", str(harness._usable_cpus()))
+        return run(default_config(name))
+
+
 @pytest.fixture(scope="module")
 def sandwich_run():
     t0 = time.perf_counter()
-    rep = run(default_config("sandwich"))
+    rep = _run_preset("sandwich")
     return rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def qv_run():
-    return run(default_config("qv-converge"))
+    return _run_preset("qv-converge")
 
 
 @pytest.fixture(scope="module")
 def ttv_run():
-    return run(default_config("ttv-converge"))
+    return _run_preset("ttv-converge")
 
 
 @pytest.fixture(scope="module")
 def rates_run():
-    return run(default_config("distance-rates"))
+    return _run_preset("distance-rates")
 
 
 @pytest.fixture(scope="module")
 def integral_run():
-    return run(default_config("integral-converge"))
+    return _run_preset("integral-converge")
 
 
 @pytest.fixture(scope="module")
 def isometry_run():
-    return run(default_config("isometry-mc"))
+    return _run_preset("isometry-mc")
 
 
 # ------------------------------------------------------------- criteria

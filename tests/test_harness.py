@@ -474,6 +474,57 @@ def test_cli_seed_override():
     assert cfg.seed == 7 and cfg.generator.seed == 7
 
 
+def test_generator_seed_is_the_config_seed_however_built():
+    built = [
+        _tiny("sandwich", seed=4),
+        dataclasses.replace(_tiny("sandwich"), seed=4),
+        ExperimentConfig.from_json_dict(
+            {**_tiny("sandwich", seed=4).to_json_dict(), "generator": {"kind": "wiener"}}
+        ),
+        default_config("sandwich", seed=4),
+        cli.load_config(cli.build_parser().parse_args(["sandwich", "--seed", "4"])),
+    ]
+    for cfg in built:
+        assert cfg.seed == 4 and cfg.generator.seed == 4
+    cfg = default_config("qv-converge", seed=3)
+    assert dataclasses.replace(cfg, seed=8).generator.seed == 8
+
+
+def test_report_ignores_a_json_generator_seed(tmp_path):
+    # member i is drawn at seed + i, so the generator seed a file gives has no
+    # effect, and the report echoes the seed the members used
+    doc = _tiny("sandwich", ensemble_size=2, m_lo=3, m_hi=4, seed=2).to_json_dict()
+    reports = []
+    for gen_seed in (0, 5):
+        doc["generator"]["seed"] = gen_seed
+        f, out = tmp_path / f"g{gen_seed}.json", tmp_path / f"out{gen_seed}"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["sandwich", "--config", str(f), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    echoed = json.loads(reports[0])["config"]
+    assert echoed["seed"] == 2 and echoed["generator"]["seed"] == 2
+
+
+def test_cli_bad_override_is_one_line_naming_it():
+    with pytest.raises(SystemExit, match=r"^--seed: seed \(-5\) must be >= 0$"):
+        cli.main(["sandwich", "--seed", "-5"])
+
+
+def test_isometry_mc_refuses_a_bridge_grid(tmp_path):
+    gen = PathGeneratorConfig("wiener", step=2.0**-6, bridge_grid=(2.0**-4, 0.0))
+    with pytest.raises(ValueError, match=r"generator\.bridge_grid"):
+        ExperimentConfig("isometry-mc", gen, ensemble_size=2, m_hi=4)
+    # other experiments take a bridge-resolved generator as given
+    assert ExperimentConfig("qv-converge", gen).generator.bridge_grid == (2.0**-4, 0.0)
+    doc = _tiny("isometry-mc", m_hi=4).to_json_dict()
+    doc["generator"]["bridge_grid"] = [2.0**-4, 0.0]
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=r"generator\.bridge_grid"):
+        cli.main(["isometry-mc", "--config", str(f)])
+
+
 def test_cli_strict_mc_promotes_statistical_failures(tmp_path, capsys):
     # drift-only paths have zero qv, so the wiener terminal target of
     # horizon * volatility^2 = 0 is missed with zero spread: z is infinite

@@ -344,6 +344,65 @@ def test_crossing_count_matches_the_scalar_loop(vals, z, c):
     assert count == _crossing_count_loop(x, z, c)
 
 
+def _crossing_counts_sample_loop(x: np.ndarray, centers: np.ndarray, c: float) -> np.ndarray:
+    """Crossing counts of many bands at once; one pass over the samples."""
+    lo = centers - 0.5 * c
+    hi = centers + 0.5 * c
+    state = np.where(x[0] >= hi, 1, np.where(x[0] <= lo, -1, 0))
+    count = np.zeros(centers.size, dtype=np.int64)
+    for v in x[1:]:
+        up = v >= hi
+        dn = (v <= lo) & ~up  # lo == hi once c/2 rounds away: the top edge wins
+        count += up & (state == -1)
+        count += dn & (state == 1)
+        state = np.where(up, 1, np.where(dn, -1, state))
+    return count
+
+
+def _ttv_dp_row_loop(path: SampledPath, c: float) -> float:
+    """Quadratic-time reference maximization, straight from the definition."""
+    if not c >= 0.0:
+        raise ValueError("threshold c must be nonnegative")
+    x = path.values
+    n = x.size
+    v = np.zeros(n)
+    for i in range(1, n):
+        v[i] = float(np.max(v[:i] + np.maximum(np.abs(x[i] - x[:i]) - c, 0.0)))
+    return float(v.max())
+
+
+def _criterion_4_draws(count, seed):
+    """(values, c) drawn as acceptance criterion 4 draws them, then walks on a
+    half-integer lattice whose band edges land on samples."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 201))
+        inc = (rng.standard_normal, rng.laplace, lambda k: rng.uniform(-1.0, 1.0, k))[
+            int(rng.integers(0, 3))
+        ](n - 1)
+        vals = float(rng.uniform(-1, 1)) + np.concatenate(([0.0], np.cumsum(inc)))
+        yield vals, float(rng.uniform(0.01, 0.6)) * max(float(vals.max() - vals.min()), 1e-6)
+    for _ in range(count // 4):
+        vals = 0.5 * np.cumsum(rng.integers(-2, 3, int(rng.integers(1, 60)))).astype(float)
+        yield vals, float(rng.choice([0.5, 1.0, 1.5]))
+
+
+@pytest.mark.parametrize("cells", [truncvar.BLOCK_CELLS, 7])
+def test_criterion_4_references_equal_their_sample_loops(monkeypatch, cells):
+    # cells = 7 puts one band, or one oracle row, in a block
+    monkeypatch.setattr(truncvar, "BLOCK_CELLS", cells)
+    rounded = np.asarray([1e16 + 4, 1e16, 1e16 - 4])  # band edges round together at z = 1e16
+    draws = [*_criterion_4_draws(80, 2026), (rounded, 1.0)]
+    for vals, c in draws:
+        centers = np.unique(np.concatenate((vals - 0.5 * c, vals + 0.5 * c, vals)))
+        got = truncvar._crossing_counts_multi(vals, centers, c)
+        want = _crossing_counts_sample_loop(vals, centers, c)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        p = _walk(vals)
+        assert _bits(ttv_dp_oracle(p, c)) == _bits(_ttv_dp_row_loop(p, c))
+    assert truncvar._crossing_counts_multi(rounded, np.asarray([1e16]), 1.0).tolist() == [1]
+
+
 def test_crossing_profile_integrates_to_ttv():
     prof = crossing_profile(ZIGZAG3, 0.5)
     assert np.all(prof.z_lo < prof.z_hi)

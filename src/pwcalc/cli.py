@@ -7,9 +7,23 @@ Without --config the experiment runs with its preset configuration.
 --seed sets the experiment's one seed: member i is the generator at
 seed + i, so a generator seed in a config file is replaced by the config's
 seed. An isometry-mc config may not set generator.bridge_grid: the
-experiment resolves its wiener members on its own check grid 2^-m_hi. A
-config file or override that is out of range stops the command with one
-line naming the file or the override.
+experiment resolves its wiener members on its own check grid 2^-m_hi.
+
+Each experiment reads some of the nine experiment fields of a config:
+
+    bdg-certify        p_list
+    qv-converge        m_lo, m_hi
+    ttv-converge       c_exponents, est_level
+    sandwich           m_lo, m_hi, threshold
+    isometry-mc        m_hi
+    bdg-mc             p_list
+    integral-converge  m_lo, m_hi, integrand_level
+    distance-rates     m_lo, m_hi, n_levels, qv_level
+
+A config that sets any other of the nine to a value other than its default
+is refused. A config file that cannot be read, is malformed or is refused,
+and an override that is out of range, stop the command with one line naming
+the file or the override.
 
 Exit status is nonzero when any pathwise check fails; --strict-mc
 promotes statistical warnings to failures as well.
@@ -78,6 +92,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             cfg = default_config(args.experiment)
         source = " ".join(_OPTIONS[name] for name in updates)
         return dataclasses.replace(cfg, **updates)
+    except OSError as exc:  # only opening or reading the config file raises it
+        raise SystemExit(f"{args.config}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise SystemExit(f"{source}: {exc}") from None
 

@@ -43,19 +43,12 @@ from .quadvar import simple_qv, sup_distance
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "bdg-certify",
-    "qv-converge",
-    "ttv-converge",
-    "sandwich",
-    "isometry-mc",
-    "bdg-mc",
-    "integral-converge",
-    "distance-rates",
+# the settings some experiment reads; a config refuses a value other than the
+# default in any of them that its experiment does not read
+_EXPERIMENT_FIELDS = (
+    "m_lo", "m_hi", "c_exponents", "p_list", "n_levels", "qv_level", "est_level",
+    "integrand_level", "threshold",
 )
-
-# the list an experiment sweeps: empty, it would check nothing
-_SWEPT_LIST = {"ttv-converge": "c_exponents", "bdg-certify": "p_list", "bdg-mc": "p_list"}
 
 
 def thread_count() -> int:
@@ -128,7 +121,10 @@ def tree_mean(values) -> float:
 class ExperimentConfig:
     """One experiment's settings. seed is the experiment's one seed: building
     the config sets its generator's seed to it, and member i is the generator
-    at seed + i."""
+    at seed + i. Of the fields from m_lo to threshold, each experiment reads
+    those its _EXPERIMENT_TABLE row names. A value other than the default in
+    any other is refused: it would change the report's echo and not its
+    tables."""
 
     experiment: str
     generator: PathGeneratorConfig
@@ -148,8 +144,22 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENT_TABLE:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        reads = _EXPERIMENT_TABLE[self.experiment].reads
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for name in _EXPERIMENT_FIELDS:
+            value, default = getattr(self, name), defaults[name]
+            if isinstance(default, tuple):  # a list field, held as a tuple
+                value = tuple(value)
+                object.__setattr__(self, name, value)
+                # swept, an empty list would check nothing
+                if name in reads and not value:
+                    raise ValueError(f"{name} must not be empty for {self.experiment}")
+            if name not in reads and value != default:
+                raise ValueError(
+                    f"{name} is not read by {self.experiment}; leave it at {default!r}"
+                )
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         if self.seed < 0:
@@ -162,9 +172,6 @@ class ExperimentConfig:
             raise ValueError(f"c_exponents {self.c_exponents} must all be > 0 and finite")
         if not all(1 <= p < math.inf for p in self.p_list):
             raise ValueError(f"p_list {self.p_list} must all be >= 1 and finite")
-        name = _SWEPT_LIST.get(self.experiment)
-        if name and not getattr(self, name):
-            raise ValueError(f"{name} must not be empty for {self.experiment}")
         if self.threshold is not None and not self.threshold > 0:
             raise ValueError(f"threshold ({self.threshold}) must be None or > 0")
         if self.n_levels < 1:
@@ -194,50 +201,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version}")
         _check_json_fields(ExperimentConfig, d, "config")
         d["generator"] = PathGeneratorConfig.from_json_dict(d["generator"])
-        d.update({k: tuple(d[k]) for k in ("c_exponents", "p_list") if k in d})
         return ExperimentConfig(**d)
-
-
-def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
-    """Config presets sized to the standing convergence checks."""
-    w = lambda step: PathGeneratorConfig("wiener", step=step)
-    presets = {
-        "bdg-certify": ExperimentConfig(
-            "bdg-certify", PathGeneratorConfig("custom-seeded", step=2.0**-8),
-            ensemble_size=200, p_list=(1.0, 1.5, 2.0, 3.0),
-        ),
-        "qv-converge": ExperimentConfig(
-            "qv-converge", w(2.0**-16), ensemble_size=200, m_lo=4, m_hi=10,
-        ),
-        "ttv-converge": ExperimentConfig(
-            "ttv-converge", w(2.0**-16), ensemble_size=200,
-            c_exponents=tuple(range(4, 13)), est_level=7,
-        ),
-        "sandwich": ExperimentConfig(
-            "sandwich", w(2.0**-12), ensemble_size=100, m_lo=3, m_hi=8,
-        ),
-        "isometry-mc": ExperimentConfig(
-            "isometry-mc", w(2.0**-16), ensemble_size=10_000, m_hi=8,
-        ),
-        "bdg-mc": ExperimentConfig(
-            "bdg-mc", w(2.0**-12), ensemble_size=2000, p_list=(1.0, 2.0),
-        ),
-        "integral-converge": ExperimentConfig(
-            "integral-converge", w(2.0**-16), ensemble_size=100,
-            m_lo=1, m_hi=5, integrand_level=3,
-        ),
-        "distance-rates": ExperimentConfig(
-            "distance-rates", w(2.0**-12), ensemble_size=200,
-            m_lo=0, m_hi=8, qv_level=6, n_levels=8,
-        ),
-    }
-    return dataclasses.replace(presets[experiment], seed=seed)
 
 
 @dataclass
@@ -687,22 +659,65 @@ def _exp_distance_rates(cfg: ExperimentConfig):
     return checks, {"rates": rate_rows, "continuity": pair_rows}
 
 
-_EXPERIMENT_FNS = {
-    "bdg-certify": _exp_bdg_certify,
-    "qv-converge": _exp_qv_converge,
-    "ttv-converge": _exp_ttv_converge,
-    "sandwich": _exp_sandwich,
-    "isometry-mc": _exp_isometry_mc,
-    "bdg-mc": _exp_bdg_mc,
-    "integral-converge": _exp_integral_converge,
-    "distance-rates": _exp_distance_rates,
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: the function that runs it, its preset's generator and
+    ensemble size, and the fields of ExperimentConfig it reads, at their
+    preset values."""
+
+    fn: object  # config -> (checks, tables)
+    generator: PathGeneratorConfig
+    ensemble_size: int
+    reads: dict
+
+
+def _wiener(step: float) -> PathGeneratorConfig:
+    return PathGeneratorConfig("wiener", step=step)
+
+
+# presets sized to the standing convergence checks
+_EXPERIMENT_TABLE = {
+    "bdg-certify": _Experiment(
+        _exp_bdg_certify, PathGeneratorConfig("custom-seeded", step=2.0**-8), 200,
+        {"p_list": (1.0, 1.5, 2.0, 3.0)},
+    ),
+    "qv-converge": _Experiment(
+        _exp_qv_converge, _wiener(2.0**-16), 200, {"m_lo": 4, "m_hi": 10}
+    ),
+    "ttv-converge": _Experiment(
+        _exp_ttv_converge, _wiener(2.0**-16), 200,
+        {"c_exponents": tuple(range(4, 13)), "est_level": 7},
+    ),
+    "sandwich": _Experiment(
+        _exp_sandwich, _wiener(2.0**-12), 100, {"m_lo": 3, "m_hi": 8, "threshold": None}
+    ),
+    "isometry-mc": _Experiment(_exp_isometry_mc, _wiener(2.0**-16), 10_000, {"m_hi": 8}),
+    "bdg-mc": _Experiment(_exp_bdg_mc, _wiener(2.0**-12), 2000, {"p_list": (1.0, 2.0)}),
+    "integral-converge": _Experiment(
+        _exp_integral_converge, _wiener(2.0**-16), 100,
+        {"m_lo": 1, "m_hi": 5, "integrand_level": 3},
+    ),
+    "distance-rates": _Experiment(
+        _exp_distance_rates, _wiener(2.0**-12), 200,
+        {"m_lo": 0, "m_hi": 8, "n_levels": 8, "qv_level": 6},
+    ),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
+
+
+def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
+    """experiment's preset at seed; KeyError for an unknown experiment."""
+    row = _EXPERIMENT_TABLE[experiment]
+    return ExperimentConfig(
+        experiment, row.generator, ensemble_size=row.ensemble_size, seed=seed, **row.reads
+    )
 
 
 def run(config: ExperimentConfig) -> Report:
     """Run one experiment; deterministic for a fixed config and seed."""
     started, faults = time.time(), _minor_faults()
-    checks, tables = _EXPERIMENT_FNS[config.experiment](config)
+    checks, tables = _EXPERIMENT_TABLE[config.experiment].fn(config)
     if config.oracle:
         checks.extend(_oracle_checks(config))
     report = Report(config.experiment, config, checks, tables)

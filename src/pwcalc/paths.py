@@ -177,14 +177,22 @@ class PathGeneratorConfig:
             raise ValueError("step must not exceed horizon")
         if self.horizon / self.step == math.inf:
             raise ValueError("horizon / step overflows a float")
+        if not (math.isfinite(self.volatility) and math.isfinite(self.drift)):
+            raise ValueError(
+                f"volatility ({self.volatility}) and drift ({self.drift}) must be finite"
+            )
         if self.seed < 0:
             raise ValueError(f"seed ({self.seed}) must be >= 0")
         if self.bridge_grid is not None:
             if self.kind != "wiener":
                 raise ValueError("bridge_grid applies to wiener paths only")
+            if len(self.bridge_grid) != 2:
+                raise ValueError(
+                    f"bridge_grid {list(self.bridge_grid)} must be a [mesh, offset] pair"
+                )
             mesh, offset = (float(g) for g in self.bridge_grid)
             if not 0.0 < mesh < math.inf:
-                raise ValueError("mesh must be positive and finite")
+                raise ValueError("bridge_grid mesh must be positive and finite")
             if not 0.0 <= offset < mesh:
                 raise ValueError("bridge_grid needs mesh > 0 and 0 <= offset < mesh")
             object.__setattr__(self, "bridge_grid", (mesh, offset))

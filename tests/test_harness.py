@@ -383,9 +383,16 @@ def test_config_value_of_wrong_type_is_named():
     assert "seed" not in msg and "m_hi" not in msg
     # an int where a float is expected is a number; null where allowed
     good = _tiny("sandwich").to_json_dict()
-    good.update(threshold=1, p_list=[1, 2.5], output_dir=None)
+    good.update(threshold=1, output_dir=None)
     cfg = ExperimentConfig.from_json_dict(good)
-    assert cfg.threshold == 1 and cfg.p_list == (1, 2.5)
+    assert cfg.threshold == 1
+    good = _tiny("bdg-mc").to_json_dict()
+    good.update(p_list=[1, 2.5])
+    assert ExperimentConfig.from_json_dict(good).p_list == (1, 2.5)
+    # a document that is no object at all
+    for doc in ([1, 2], "sandwich", None):
+        with pytest.raises(ValueError, match=r"^config must be a JSON object$"):
+            ExperimentConfig.from_json_dict(doc)
 
 
 def test_generator_value_of_wrong_type_is_named():
@@ -397,6 +404,11 @@ def test_generator_value_of_wrong_type_is_named():
         )
     for name in ("seed", "drift", "bridge_grid"):
         assert f"{name} is " in str(err.value)
+    for grid in ([1, 0, 0], [0.5]):
+        with pytest.raises(ValueError, match=r"bridge_grid .* must be a \[mesh, offset\] pair"):
+            PathGeneratorConfig.from_json_dict({"kind": "wiener", "bridge_grid": grid})
+    with pytest.raises(ValueError, match=r"^bridge_grid mesh must be positive and finite$"):
+        PathGeneratorConfig.from_json_dict({"kind": "wiener", "bridge_grid": [0, 0]})
     gen = PathGeneratorConfig.from_json_dict({"kind": "wiener", "horizon": 2, "step": 1})
     assert gen == PathGeneratorConfig("wiener", horizon=2.0, step=1.0)
 
@@ -408,6 +420,39 @@ def test_cli_names_value_of_wrong_type(tmp_path):
     ))
     with pytest.raises(SystemExit, match=r"ensemble_size is '3', integer expected"):
         cli.main(["sandwich", "--config", str(f)])
+    f.write_text(json.dumps([1, 2]))
+    with pytest.raises(SystemExit, match=r"^\S+: config must be a JSON object$"):
+        cli.main(["sandwich", "--config", str(f)])
+    doc = _tiny("sandwich").to_json_dict()
+    doc["generator"]["bridge_grid"] = [1, 0, 0]
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=r"bridge_grid \[1, 0, 0\] must be a \[mesh, offset\]"):
+        cli.main(["sandwich", "--config", str(f)])
+
+
+def test_cli_config_that_cannot_be_read_is_one_line(tmp_path):
+    for path in (tmp_path / "nope.json", tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sandwich", "--config", str(path)])
+        msg = str(err.value.code)
+        assert msg.startswith(f"{path}: ") and "\n" not in msg
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("volatility", "NaN"), ("volatility", "Infinity"),
+     ("drift", "Infinity"), ("drift", "-Infinity")],
+)
+def test_cli_refuses_a_non_finite_generator_value(tmp_path, name, value):
+    # Python's json reads and writes NaN and Infinity; generate would fail on
+    # the member's non-finite values
+    doc = _tiny("bdg-mc").to_json_dict()
+    doc["generator"][name] = 0.0
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(doc).replace(f'"{name}": 0.0', f'"{name}": {value}'))
+    said = r"^\S+: volatility \(.*\) and drift \(.*\) must be finite$"
+    with pytest.raises(SystemExit, match=said):
+        cli.main(["bdg-mc", "--config", str(f)])
 
 
 def test_empty_m_range_is_rejected(tmp_path):
@@ -454,18 +499,24 @@ def test_config_out_of_range_is_named(tmp_path, field, bad):
     # no localisation level makes every distance 0; a NaN compares false
     # with every bound, so a sandwich stopped at it would never stop; C_p
     # needs 1 <= p < inf; an empty swept list checks nothing
-    experiment = {"c_exponents": "ttv-converge", "threshold": "sandwich", "p_list": "bdg-mc"}.get(
-        field, "qv-converge"
-    )
+    # each row runs on an experiment that reads its field, and a ttv-converge
+    # row sweeps a list, so neither the unread-field refusal nor the
+    # empty-list rule comes first
+    experiment = {
+        "c_exponents": "ttv-converge", "est_level": "ttv-converge", "threshold": "sandwich",
+        "p_list": "bdg-mc", "n_levels": "distance-rates", "qv_level": "distance-rates",
+        "integrand_level": "integral-converge",
+    }.get(field, "qv-converge")
+    swept = {"c_exponents": (1,)} if experiment == "ttv-converge" else {}
     with pytest.raises(ValueError, match=field):
-        _tiny(experiment, **bad)
-    doc = _tiny(experiment, c_exponents=(1,)).to_json_dict()
+        _tiny(experiment, **{**swept, **bad})
+    doc = _tiny(experiment, **swept).to_json_dict()
     doc.update({k: list(v) if isinstance(v, tuple) else v for k, v in bad.items()})
     f = tmp_path / "c.json"
     f.write_text(json.dumps(doc))
     with pytest.raises(SystemExit, match=field):
         cli.main([experiment, "--config", str(f)])
-    assert _tiny(experiment, c_exponents=(1,), m_lo=0).m_lo == 0
+    assert _tiny(experiment, **swept, m_lo=0).m_lo == 0
 
 
 def test_cli_seed_override():
@@ -523,6 +574,85 @@ def test_isometry_mc_refuses_a_bridge_grid(tmp_path):
     f.write_text(json.dumps(doc))
     with pytest.raises(SystemExit, match=r"generator\.bridge_grid"):
         cli.main(["isometry-mc", "--config", str(f)])
+
+
+# the fields of ExperimentConfig each experiment reads, in EXPERIMENTS order
+_READS = {
+    "bdg-certify": {"p_list"},
+    "qv-converge": {"m_lo", "m_hi"},
+    "ttv-converge": {"c_exponents", "est_level"},
+    "sandwich": {"m_lo", "m_hi", "threshold"},
+    "isometry-mc": {"m_hi"},
+    "bdg-mc": {"p_list"},
+    "integral-converge": {"m_lo", "m_hi", "integrand_level"},
+    "distance-rates": {"m_lo", "m_hi", "n_levels", "qv_level"},
+}
+
+# a value of each field some experiment reads: not its default, not any
+# preset's, and in range wherever it is read
+_MATTERS = {
+    "m_lo": 5, "m_hi": 6, "c_exponents": (4, 5), "p_list": (3.0,), "n_levels": 4,
+    "qv_level": 3, "est_level": 5, "integrand_level": 2, "threshold": 0.1,
+}
+
+
+def _small(experiment):
+    """experiment's preset on 2 members of 2^8 steps."""
+    preset = default_config(experiment)
+    gen = dataclasses.replace(preset.generator, step=2.0**-8)
+    return dataclasses.replace(preset, generator=gen, ensemble_size=2)
+
+
+def test_one_row_per_experiment_names_the_fields_it_reads():
+    table = harness._EXPERIMENT_TABLE
+    assert EXPERIMENTS == tuple(_READS)
+    assert {name: set(row.reads) for name, row in table.items()} == _READS
+    assert set(harness._EXPERIMENT_FIELDS) == set(_MATTERS) == set().union(*_READS.values())
+    # of 8 x 9 settable values, these have an effect
+    assert sum(map(len, _READS.values())) == 17
+    with pytest.raises(ValueError) as err:
+        _tiny("isometry-mc", p_list=(2.0,))
+    assert str(err.value) == "p_list is not read by isometry-mc; leave it at (1.0, 1.5, 2.0, 3.0)"
+    # an unread field set to its default is no change, also as a list
+    assert _tiny("sandwich", p_list=[1.0, 1.5, 2.0, 3.0], c_exponents=[]).p_list == (
+        1.0, 1.5, 2.0, 3.0
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment,name",
+    [(e, name) for e, reads in _READS.items() for name in _MATTERS if name not in reads],
+)
+def test_a_field_the_experiment_does_not_read_is_refused(tmp_path, experiment, name):
+    base = _small(experiment)
+    value = _MATTERS[name]
+    json_value = list(value) if isinstance(value, tuple) else value
+    kw = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    routes = (
+        lambda: ExperimentConfig(**{**kw, name: value}),
+        lambda: dataclasses.replace(base, **{name: value}),
+        lambda: ExperimentConfig.from_json_dict({**base.to_json_dict(), name: json_value}),
+    )
+    said = f"{name} is not read by {experiment}; leave it at "
+    for route in routes:
+        with pytest.raises(ValueError) as err:
+            route()
+        assert str(err.value).startswith(said) and "\n" not in str(err.value)
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({**base.to_json_dict(), name: json_value}))
+    with pytest.raises(SystemExit) as err:
+        cli.main([experiment, "--config", str(f)])
+    msg = str(err.value.code)
+    assert msg.startswith(f"{f}: {said}") and "\n" not in msg
+
+
+@pytest.mark.parametrize(
+    "experiment,name", [(e, name) for e, reads in _READS.items() for name in sorted(reads)]
+)
+def test_each_field_the_experiment_reads_moves_its_tables(experiment, name):
+    base = _small(experiment)
+    moved = dataclasses.replace(base, **{name: _MATTERS[name]})
+    assert run(moved).to_json_dict()["tables"] != run(base).to_json_dict()["tables"]
 
 
 def test_cli_strict_mc_promotes_statistical_failures(tmp_path, capsys):

@@ -327,6 +327,10 @@ def test_generator_validation():
         {"step": 1e-310},
         {"horizon": math.inf},
         {"seed": -5},
+        {"volatility": math.nan},  # generate would fail on non-finite values
+        {"volatility": math.inf},
+        {"drift": math.inf},
+        {"drift": -math.inf},
     ],
 )
 def test_generator_edges_fail_when_the_config_is_built(kw):

@@ -6,8 +6,8 @@
 Without --config the experiment runs with its preset configuration.
 --seed sets the experiment's one seed: member i is the generator at
 seed + i, so a generator seed in a config file is replaced by the config's
-seed. An isometry-mc config may not set generator.bridge_grid: the
-experiment resolves its wiener members on its own check grid 2^-m_hi.
+seed. isometry-mc joins the samples of its wiener members by Brownian
+bridges, resolved on its check grid 2^-m_hi; no config field sets this.
 
 Each experiment reads some of the nine experiment fields of a config:
 

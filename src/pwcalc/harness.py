@@ -166,6 +166,8 @@ class ExperimentConfig:
             raise ValueError(f"seed ({self.seed}) must be >= 0")
         if self.m_lo < 0:
             raise ValueError(f"m_lo ({self.m_lo}) must be >= 0")
+        if self.m_hi < 0:
+            raise ValueError(f"m_hi ({self.m_hi}) must be >= 0")
         if self.m_lo > self.m_hi:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
         if not all(0 < c < math.inf for c in self.c_exponents):
@@ -179,18 +181,12 @@ class ExperimentConfig:
         for name in ("qv_level", "est_level", "integrand_level"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} ({getattr(self, name)}) must be >= 0")
-        if self.experiment == "isometry-mc" and self.generator.bridge_grid is not None:
-            raise ValueError(
-                "generator.bridge_grid must be unset for isometry-mc: it resolves"
-                " wiener members on its check grid 2^-m_hi"
-            )
         if self.generator.seed != self.seed:
             gen = dataclasses.replace(self.generator, seed=self.seed)
             object.__setattr__(self, "generator", gen)
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["generator"] = self.generator.to_json_dict()
+        d = dataclasses.asdict(self)  # converts the generator as its to_json_dict does
         d["c_exponents"] = list(self.c_exponents)
         d["p_list"] = list(self.p_list)
         d["schema_version"] = SCHEMA_VERSION
@@ -250,12 +246,10 @@ class Report:
         )
 
 
-def _member(
-    cfg: ExperimentConfig, i: int, generator: PathGeneratorConfig | None = None
-) -> SampledPath:
-    """Ensemble member i: cfg's generator, or generator in its stead, at seed
-    cfg.seed + i."""
-    return generate(dataclasses.replace(generator or cfg.generator, seed=cfg.seed + i))
+def _member(cfg: ExperimentConfig, i: int, bridge_level: int | None = None) -> SampledPath:
+    """Ensemble member i: cfg's generator at seed cfg.seed + i, its Brownian
+    bridges resolved on 2^-bridge_level Z when that is given."""
+    return generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i), bridge_level)
 
 
 def _ensemble_workers(cfg: ExperimentConfig) -> int:
@@ -263,11 +257,11 @@ def _ensemble_workers(cfg: ExperimentConfig) -> int:
     return _workers(cfg.ensemble_size, cfg.generator.segments)
 
 
-def _each_member(cfg: ExperimentConfig, fn, generator: PathGeneratorConfig | None = None) -> list:
+def _each_member(cfg: ExperimentConfig, fn, bridge_level: int | None = None) -> list:
     """[fn(i, member i) for every member i], in member order, whatever the
     thread count."""
     return parallel_map(
-        lambda i: fn(i, _member(cfg, i, generator)),
+        lambda i: fn(i, _member(cfg, i, bridge_level)),
         range(cfg.ensemble_size),
         _ensemble_workers(cfg),
     )
@@ -488,16 +482,14 @@ def _exp_sandwich(cfg: ExperimentConfig):
 def _exp_isometry_mc(cfg: ExperimentConfig):
     m = cfg.m_hi
     grid = GridSpec(2.0**-m, 0.0)
-    gen = cfg.generator
-    if gen.kind == "wiener":
-        # E[X_T^2] = E[QV_T] needs a martingale between samples: resolve each
-        # member's Brownian bridges on the grid the check uses
-        gen = dataclasses.replace(gen, bridge_grid=(grid.mesh, grid.offset))
+    # E[X_T^2] = E[QV_T] needs a martingale between samples: resolve each
+    # wiener member's Brownian bridges on the grid the check uses
+    level = m if cfg.generator.kind == "wiener" else None
 
     def one(i, x):
         return float((x.values[-1] - x.values[0]) ** 2), quadvar._terminal_qv(x, grid)
 
-    disp, qv = (np.asarray(col) for col in zip(*_each_member(cfg, one, gen)))
+    disp, qv = (np.asarray(col) for col in zip(*_each_member(cfg, one, level)))
     diff_mean, diff_se = _mean_se(disp - qv)
     z = _z(diff_mean, diff_se)
     dm, dse = _mean_se(disp)

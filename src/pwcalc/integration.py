@@ -242,7 +242,7 @@ def localized_integral(
     levels = sorted(float(n) for n in n_schedule)
     if not levels or levels[0] <= 0.0:
         raise ValueError("localization levels must be positive")
-    sigmas = np.minimum(_exit_times(f, levels), f.horizon).tolist()
+    sigmas = _localization_times(f, levels).tolist()
     # every level whose sigma reaches the horizon stops f at the horizon: one
     # curve per distinct sigma
     built = {}
@@ -291,11 +291,9 @@ def _mean_report(per_path: np.ndarray, reference_mean=None) -> EmpiricalDistance
     )
 
 
-def _localization_times(x: SampledPath, n_levels: int) -> np.ndarray:
-    """T_N = sigma(x, N) ^ horizon for N = 1..n_levels, non-decreasing in N."""
-    if n_levels < 1:
-        raise ValueError("n_levels must be at least 1")
-    return np.minimum(_exit_times(x, np.arange(1.0, n_levels + 1)), x.horizon)
+def _localization_times(x: SampledPath, levels) -> np.ndarray:
+    """T_N = sigma(x, N) ^ horizon for each level N, non-decreasing in N."""
+    return np.minimum(_exit_times(x, levels), x.horizon)
 
 
 def empirical_dqv(
@@ -309,13 +307,15 @@ def empirical_dqv(
     """
     if qv_level < 0:
         raise ValueError("qv_level must be nonnegative")
+    if n_levels < 1:
+        raise ValueError("n_levels must be at least 1")
     paths = list(paths)
     if not paths:
         raise ValueError("need at least one path")
     per_path = np.zeros(len(paths))
     q_end = np.zeros(len(paths))
     for i, x in enumerate(paths):
-        t_levels = _localization_times(x, n_levels)
+        t_levels = _localization_times(x, np.arange(1.0, n_levels + 1))
         gi, hi = g(x), h(x)
         q = qv_estimate_dyadic(x, qv_level)[-1]
         q_end[i] = q.values[-1]
@@ -338,11 +338,13 @@ def empirical_dinf(y, z, x_paths, n_levels: int = 8) -> EmpiricalDistanceReport:
     y and z are callables path -> curve; localization times come from the
     driving paths in x_paths.
     """
+    if n_levels < 1:
+        raise ValueError("n_levels must be at least 1")
     x_paths = list(x_paths)
     if not x_paths:
         raise ValueError("need at least one path")
     per_path = np.zeros(len(x_paths))
     for i, x in enumerate(x_paths):
-        sups = _sup_gaps(y(x), z(x), _localization_times(x, n_levels))
+        sups = _sup_gaps(y(x), z(x), _localization_times(x, np.arange(1.0, n_levels + 1)))
         per_path[i] = sum(2.0**-n * s for n, s in enumerate(sups.tolist(), start=1))
     return _mean_report(per_path)

@@ -151,13 +151,6 @@ class PathGeneratorConfig:
       sine          volatility * sin(2*pi*f*t), f = drift (or 1 when drift is 0)
       custom-seeded seeded mixture of increment laws (heavy and light tails,
                     flat stretches), variance volatility^2*dt per step
-
-    bridge_grid: optional (mesh, offset) of a grid d*Z + r, wiener only. The
-      samples are then joined by Brownian bridges instead of chords, resolved
-      finely enough that the member's level sequence on that grid, and on
-      every coarser grid whose levels lie on it, is that of a Brownian path
-      through the same samples (see _resolve_bridge). Unset, the member is
-      the chord path through its samples.
     """
 
     kind: str
@@ -166,7 +159,6 @@ class PathGeneratorConfig:
     seed: int = 0
     volatility: float = 1.0
     drift: float = 0.0
-    bridge_grid: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -183,19 +175,6 @@ class PathGeneratorConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed ({self.seed}) must be >= 0")
-        if self.bridge_grid is not None:
-            if self.kind != "wiener":
-                raise ValueError("bridge_grid applies to wiener paths only")
-            if len(self.bridge_grid) != 2:
-                raise ValueError(
-                    f"bridge_grid {list(self.bridge_grid)} must be a [mesh, offset] pair"
-                )
-            mesh, offset = (float(g) for g in self.bridge_grid)
-            if not 0.0 < mesh < math.inf:
-                raise ValueError("bridge_grid mesh must be positive and finite")
-            if not 0.0 <= offset < mesh:
-                raise ValueError("bridge_grid needs mesh > 0 and 0 <= offset < mesh")
-            object.__setattr__(self, "bridge_grid", (mesh, offset))
 
     @property
     def segments(self) -> int:
@@ -204,17 +183,7 @@ class PathGeneratorConfig:
         return max(1, int(round(self.horizon / self.step)))
 
     def to_json_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "horizon": self.horizon,
-            "step": self.step,
-            "seed": self.seed,
-            "volatility": self.volatility,
-            "drift": self.drift,
-        }
-        if self.bridge_grid is not None:
-            d["bridge_grid"] = list(self.bridge_grid)
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "PathGeneratorConfig":
@@ -267,11 +236,25 @@ def _check_json_fields(cls, d, what: str) -> None:
         raise ValueError(f"{what}: {'; '.join(problems)}")
 
 
-def generate(config: PathGeneratorConfig) -> SampledPath:
+def generate(config: PathGeneratorConfig, bridge_level: int | None = None) -> SampledPath:
     """Deterministic path from config; same config and seed, same floats.
+
+    bridge_level: an int m in [-1023, 1074], wiener only, so that the mesh
+      2^-m is a finite nonzero float. The samples are then joined by Brownian
+      bridges instead of chords, resolved finely enough that the member's
+      level sequence on the grid 2^-m Z, and on every coarser dyadic grid at
+      offset 0, is that of a Brownian path through the same samples (see
+      _resolve_bridge). None keeps the chord path through the samples.
 
     Raises ResourceLimitError for a member of more than MAX_SAMPLES samples.
     """
+    if bridge_level is not None:
+        if config.kind != "wiener":
+            raise ValueError(f"a bridge level applies to wiener paths only, not {config.kind}")
+        if isinstance(bridge_level, bool) or not isinstance(bridge_level, (int, np.integer)):
+            raise TypeError(f"bridge level {bridge_level!r} must be an int")
+        if not -1023 <= bridge_level <= 1074:
+            raise ValueError(f"bridge level {bridge_level} must be in [-1023, 1074]")
     n = config.segments
     if n >= MAX_SAMPLES:
         raise ResourceLimitError(f"member would have {n + 1:.3g} samples (limit {MAX_SAMPLES:g})")
@@ -295,8 +278,8 @@ def generate(config: PathGeneratorConfig) -> SampledPath:
         vals = np.empty(n + 1)
         vals[0] = 0.0
         np.cumsum(inc, out=vals[1:])
-        if config.bridge_grid is not None and config.volatility != 0.0:
-            times, vals = _resolve_bridge(times, vals, config, dt)
+        if bridge_level is not None and config.volatility != 0.0:
+            times, vals = _resolve_bridge(times, vals, config, dt, 2.0 ** -int(bridge_level))
         return SampledPath(times, vals)
     if kind == "geometric":
         w = np.concatenate(([0.0], np.cumsum(rng.standard_normal(n) * math.sqrt(dt))))
@@ -315,8 +298,9 @@ def generate(config: PathGeneratorConfig) -> SampledPath:
     return SampledPath(times, vals)
 
 
-def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
-    """Samples of a Brownian path through (times, vals), resolved on a grid.
+def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float, mesh: float):
+    """Samples of a Brownian path through (times, vals), resolved on the grid
+    mesh*Z, mesh a power of two.
 
     Between two samples Brownian motion is a Brownian bridge. Each segment
     is cut by Levy midpoints, (a+b)/2 + vol*sqrt(h)/2 * Z, into 2^D leaves of
@@ -345,11 +329,9 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
     Each normal and uniform is a counter-based hash of (member key, segment,
     heap index of the tree node), so the resolved member does not depend on
     the thread count, and on a finer grid the same midpoints reappear. The
-    original samples are kept exactly. Touches land exactly on the grid
-    levels when the mesh is a power of two and the offset 0; otherwise each
-    sits on the far side of its level by at most a few ulps.
+    original samples are kept exactly, and each touch is lev * mesh, exactly
+    on its level, since a power-of-two mesh scales levels exactly.
     """
-    mesh, offset = config.bridge_grid
     n = times.size - 1
     try:
         w0 = (config.volatility / mesh) ** 2 * dt
@@ -408,8 +390,7 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
             Q[gap // 2 :: gap] = mid
         # nearest levels above and below each leaf's chord, in grid units
         U = u[: nl + 1]
-        np.subtract(P, offset, out=U)
-        U /= mesh
+        np.divide(P, mesh, out=U)
         a, b = U[:-1], U[1:]
         A, B, PU, PD, S, PUD, PDU, D, T = (
             x[:nl] for x in (above, below, p_up, p_dn, span, p_ud, p_du, draw, tmp)
@@ -477,7 +458,8 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
         up = first_up[hit]
         lev = B[hit]
         lev += up * S[hit]
-        out_x[at] = _level_values(lev, up, mesh, offset)
+        lev *= mesh
+        out_x[at] = lev
         pair = two[hit]
         frac = pair * (1.0 / 3.0 - 0.5)
         frac += 0.5
@@ -491,7 +473,8 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float):
         up = ~up[sub]
         lev = B[hit]
         lev += up * S[hit]
-        out_x[at] = _level_values(lev, up, mesh, offset)
+        lev *= mesh
+        out_x[at] = lev
         frac = H[hit]
         frac *= 2.0 / 3.0
         frac += Q[hit]
@@ -587,24 +570,3 @@ def _bridge_normals(seg_hash, lv, bits, radius, out) -> np.ndarray:
     np.multiply(r, np.cos(angle), out=z[0::2])
     np.multiply(r, np.sin(angle), out=z[1::2])
     return z
-
-
-def _level_values(lev: np.ndarray, up: np.ndarray, mesh: float, offset: float) -> np.ndarray:
-    """lev * mesh + offset, moved by ulps until (x - offset) / mesh, the grid
-    sweep's own arithmetic, is at or beyond lev: above it for up touches,
-    below it for down touches."""
-    x = lev * mesh
-    x += offset
-    if offset == 0.0 and math.frexp(mesh)[0] == 0.5:
-        return x  # a power-of-two mesh scales levels exactly
-    side = up * 2.0
-    side -= 1.0
-    while True:
-        short = x - offset
-        short /= mesh
-        short -= lev
-        short *= side
-        short = np.flatnonzero(short < 0.0)
-        if short.size == 0:
-            return x
-        x[short] = np.nextafter(x[short], side[short] * np.inf)

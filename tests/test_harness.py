@@ -205,7 +205,11 @@ def test_integral_converge_draws_each_member_once(monkeypatch):
     # the localisation check runs on member 0 as the ensemble hands it over
     seeds = []
     generate = harness.generate
-    monkeypatch.setattr(harness, "generate", lambda g: seeds.append(g.seed) or generate(g))
+    monkeypatch.setattr(
+        harness,
+        "generate",
+        lambda g, bridge_level: seeds.append(g.seed) or generate(g, bridge_level),
+    )
     rep = run(_tiny("integral-converge", ensemble_size=2, m_lo=4, m_hi=5))
     assert sorted(seeds) == [0, 1, 1_000_000_000, 1_000_000_001]
     assert [c.name for c in rep.checks][-1] == "localization-consistent"
@@ -399,16 +403,9 @@ def test_generator_value_of_wrong_type_is_named():
     with pytest.raises(ValueError, match=r"generator: step is '0\.1', number expected"):
         PathGeneratorConfig.from_json_dict({"kind": "wiener", "step": "0.1"})
     with pytest.raises(ValueError) as err:
-        PathGeneratorConfig.from_json_dict(
-            {"kind": "wiener", "seed": 1.5, "drift": False, "bridge_grid": [0.5, "0"]}
-        )
-    for name in ("seed", "drift", "bridge_grid"):
+        PathGeneratorConfig.from_json_dict({"kind": "wiener", "seed": 1.5, "drift": False})
+    for name in ("seed", "drift"):
         assert f"{name} is " in str(err.value)
-    for grid in ([1, 0, 0], [0.5]):
-        with pytest.raises(ValueError, match=r"bridge_grid .* must be a \[mesh, offset\] pair"):
-            PathGeneratorConfig.from_json_dict({"kind": "wiener", "bridge_grid": grid})
-    with pytest.raises(ValueError, match=r"^bridge_grid mesh must be positive and finite$"):
-        PathGeneratorConfig.from_json_dict({"kind": "wiener", "bridge_grid": [0, 0]})
     gen = PathGeneratorConfig.from_json_dict({"kind": "wiener", "horizon": 2, "step": 1})
     assert gen == PathGeneratorConfig("wiener", horizon=2.0, step=1.0)
 
@@ -422,11 +419,6 @@ def test_cli_names_value_of_wrong_type(tmp_path):
         cli.main(["sandwich", "--config", str(f)])
     f.write_text(json.dumps([1, 2]))
     with pytest.raises(SystemExit, match=r"^\S+: config must be a JSON object$"):
-        cli.main(["sandwich", "--config", str(f)])
-    doc = _tiny("sandwich").to_json_dict()
-    doc["generator"]["bridge_grid"] = [1, 0, 0]
-    f.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit, match=r"bridge_grid \[1, 0, 0\] must be a \[mesh, offset\]"):
         cli.main(["sandwich", "--config", str(f)])
 
 
@@ -476,6 +468,7 @@ def test_empty_m_range_is_rejected(tmp_path):
         ("c_exponents", {"c_exponents": (-3,)}),
         ("m_lo", {"m_lo": -2000, "m_hi": -1999}),
         ("m_lo", {"m_lo": -1}),
+        ("m_hi", {"m_hi": -1}),
         ("n_levels", {"n_levels": 0}),
         ("n_levels", {"n_levels": -1}),
         ("qv_level", {"qv_level": -3}),
@@ -502,20 +495,23 @@ def test_config_out_of_range_is_named(tmp_path, field, bad):
     # each row runs on an experiment that reads its field, and a ttv-converge
     # row sweeps a list, so neither the unread-field refusal nor the
     # empty-list rule comes first
+    # the message starts with the field: an isometry-mc m_hi below 0 is no
+    # fault of m_lo, which isometry-mc may not set
     experiment = {
         "c_exponents": "ttv-converge", "est_level": "ttv-converge", "threshold": "sandwich",
         "p_list": "bdg-mc", "n_levels": "distance-rates", "qv_level": "distance-rates",
-        "integrand_level": "integral-converge",
+        "integrand_level": "integral-converge", "m_hi": "isometry-mc",
     }.get(field, "qv-converge")
     swept = {"c_exponents": (1,)} if experiment == "ttv-converge" else {}
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
         _tiny(experiment, **{**swept, **bad})
     doc = _tiny(experiment, **swept).to_json_dict()
     doc.update({k: list(v) if isinstance(v, tuple) else v for k, v in bad.items()})
     f = tmp_path / "c.json"
     f.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit, match=field):
+    with pytest.raises(SystemExit) as err:
         cli.main([experiment, "--config", str(f)])
+    assert str(err.value.code).startswith(f"{f}: {field} ")
     assert _tiny(experiment, **swept, m_lo=0).m_lo == 0
 
 
@@ -562,18 +558,23 @@ def test_cli_bad_override_is_one_line_naming_it():
         cli.main(["sandwich", "--seed", "-5"])
 
 
-def test_isometry_mc_refuses_a_bridge_grid(tmp_path):
-    gen = PathGeneratorConfig("wiener", step=2.0**-6, bridge_grid=(2.0**-4, 0.0))
-    with pytest.raises(ValueError, match=r"generator\.bridge_grid"):
-        ExperimentConfig("isometry-mc", gen, ensemble_size=2, m_hi=4)
-    # other experiments take a bridge-resolved generator as given
-    assert ExperimentConfig("qv-converge", gen).generator.bridge_grid == (2.0**-4, 0.0)
-    doc = _tiny("isometry-mc", m_hi=4).to_json_dict()
-    doc["generator"]["bridge_grid"] = [2.0**-4, 0.0]
-    f = tmp_path / "c.json"
-    f.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit, match=r"generator\.bridge_grid"):
-        cli.main(["isometry-mc", "--config", str(f)])
+def test_isometry_mc_resolves_wiener_members_on_its_check_level(monkeypatch):
+    # the members behind the check are resolved on 2^-m_hi; the oracle's,
+    # constant members and qv-converge's are chords
+    levels = []
+    generate = harness.generate
+    monkeypatch.setattr(
+        harness,
+        "generate",
+        lambda g, bridge_level: levels.append((g.kind, bridge_level)) or generate(g, bridge_level),
+    )
+    run(_tiny("isometry-mc", ensemble_size=6, m_hi=4, oracle=True))
+    assert levels == [("wiener", 4)] * 6 + [("wiener", None)] * 5
+    levels.clear()
+    gen = PathGeneratorConfig("constant", drift=0.3)
+    run(ExperimentConfig("isometry-mc", gen, ensemble_size=2, m_hi=4))
+    run(_tiny("qv-converge", ensemble_size=2, m_lo=2, m_hi=4))
+    assert levels == [("constant", None)] * 2 + [("wiener", None)] * 2
 
 
 # the fields of ExperimentConfig each experiment reads, in EXPERIMENTS order
@@ -617,6 +618,15 @@ def test_one_row_per_experiment_names_the_fields_it_reads():
     assert _tiny("sandwich", p_list=[1.0, 1.5, 2.0, 3.0], c_exponents=[]).p_list == (
         1.0, 1.5, 2.0, 3.0
     )
+
+
+def test_cli_docstring_table_is_the_experiment_table():
+    # cli's docstring copies the fields each experiment reads, one line each
+    lines = cli.__doc__.split("Each experiment reads some")[1].split("\n\n")[1].splitlines()
+    documented = dict(line.split(maxsplit=1) for line in lines)
+    assert list(documented) == list(EXPERIMENTS)
+    table = harness._EXPERIMENT_TABLE
+    assert documented == {name: ", ".join(row.reads) for name, row in table.items()}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Paths: construction, interpolation, exact hitting solves, generators."""
 
+import json
 import math
 import platform
 import struct
@@ -20,6 +21,7 @@ from pwcalc import (
     StepProcess,
     StoppingSequence,
     capital_process,
+    cli,
     evaluate,
     evaluate_many,
     generate,
@@ -32,7 +34,7 @@ from pwcalc import (
     step_approximation,
 )
 from pwcalc import paths
-from pwcalc.paths import _exit_times, _level_values
+from pwcalc.paths import _exit_times
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 
@@ -115,7 +117,7 @@ def _chord():
 
 
 def _bridge():
-    return generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=5, bridge_grid=(0.25, 0.0)))
+    return generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=5), bridge_level=2)
 
 
 def _read_only_samples():
@@ -345,7 +347,7 @@ def test_one_sample_limit_bounds_every_member(monkeypatch):
         assert len(generate(PathGeneratorConfig(kind, step=2.0**-9))) == 513
     # 16 steps of 2^5 leaves, up to 3 samples a leaf: 1537 samples at most
     with pytest.raises(ResourceLimitError):
-        generate(PathGeneratorConfig("wiener", step=2.0**-4, bridge_grid=(2.0**-4, 0.0)))
+        generate(PathGeneratorConfig("wiener", step=2.0**-4), bridge_level=4)
 
     def allocated(*args, **kwargs):
         raise AssertionError("a member past the limit allocated its samples")
@@ -360,14 +362,13 @@ def test_one_sample_limit_bounds_every_member(monkeypatch):
 # ------------------------------------------------ Brownian-bridge resolution
 
 
-def _exit_stats(step, mesh, members):
-    """First exit time from (-mesh, mesh) and its side, per resolved member."""
+def _exit_stats(step, level, members):
+    """First exit time from (-mesh, mesh) and its side, per member resolved
+    on the mesh 2^-level."""
     times, sides = [], []
     for seed in range(members):
-        cfg = PathGeneratorConfig(
-            "wiener", horizon=32 * step, step=step, seed=seed, bridge_grid=(mesh, 0.0)
-        )
-        seq = lebesgue_sequence(generate(cfg), GridSpec(mesh))
+        cfg = PathGeneratorConfig("wiener", horizon=32 * step, step=step, seed=seed)
+        seq = lebesgue_sequence(generate(cfg, bridge_level=level), GridSpec(2.0**-level))
         assert len(seq) > 1, "no exit before the horizon"
         times.append(seq.times[1])
         sides.append(seq.values[1] > 0.0)
@@ -376,63 +377,90 @@ def _exit_stats(step, mesh, members):
 
 def test_bridge_first_exit_mean_and_side():
     # mesh = sqrt(step): a chord member exits late, at a sample outside the band
-    step = 2.0**-10
-    mesh = math.sqrt(step)
-    times, sides = _exit_stats(step, mesh, 2000)
+    step, level = 2.0**-10, 5
+    times, sides = _exit_stats(step, level, 2000)
     se = times.std(ddof=1) / math.sqrt(times.size)
-    assert abs(times.mean() - mesh**2) <= 3.0 * se
+    assert abs(times.mean() - 2.0 ** (-2 * level)) <= 3.0 * se  # mesh^2
     assert abs(sides.mean() - 0.5) <= 3.0 * 0.5 / math.sqrt(sides.size)
 
 
-def test_bridge_grid_qv_matches_horizon():
-    step = 2.0**-12
-    mesh = math.sqrt(step)
+def test_bridge_level_qv_matches_horizon():
+    # mesh 2^-6 = sqrt(step)
     qv = []
     for seed in range(16):
-        x = generate(PathGeneratorConfig("wiener", step=step, seed=seed, bridge_grid=(mesh, 0.0)))
-        qv.append(qv_at(x, lebesgue_sequence(x, GridSpec(mesh)), np.asarray([x.horizon]))[0])
+        x = generate(PathGeneratorConfig("wiener", step=2.0**-12, seed=seed), bridge_level=6)
+        qv.append(qv_at(x, lebesgue_sequence(x, GridSpec(2.0**-6)), np.asarray([x.horizon]))[0])
     qv = np.asarray(qv)
     assert abs(qv.mean() - 1.0) <= 3.0 * qv.std(ddof=1) / math.sqrt(qv.size)
 
 
 def test_bridge_keeps_samples_and_is_deterministic():
-    cfg = PathGeneratorConfig("wiener", step=2.0**-8, seed=4, bridge_grid=(2.0**-3, 2.0**-5))
-    x = generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=4))
-    y = generate(cfg)
+    cfg = PathGeneratorConfig("wiener", step=2.0**-8, seed=4)
+    x = generate(cfg)
+    y = generate(cfg, bridge_level=3)
     assert len(y) > len(x)
     at = np.searchsorted(y.times, x.times)
     assert np.array_equal(y.times[at], x.times)
     assert np.array_equal(y.values[at], x.values)
-    z = generate(cfg)
+    # every added sample is a touch, exactly on a level of 2^-3 Z
+    touches = np.delete(y.values, at) * 2.0**3
+    assert touches.size and np.array_equal(touches, np.round(touches))
+    z = generate(cfg, bridge_level=np.int64(3))
     assert np.array_equal(y.times, z.times) and np.array_equal(y.values, z.values)
 
 
-def test_unset_bridge_grid_is_the_chord_generator():
+def test_no_bridge_level_is_the_chord_generator():
     cfg = PathGeneratorConfig("wiener", step=2.0**-10, seed=12, volatility=0.7, drift=0.3)
-    assert cfg.bridge_grid is None
-    assert "bridge_grid" not in cfg.to_json_dict()
     n = 2**10
     rng = np.random.default_rng(12)
     inc = rng.standard_normal(n) * (0.7 * math.sqrt(1.0 / n)) + 0.3 / n
-    x = generate(cfg)
-    assert np.array_equal(x.times, np.linspace(0.0, 1.0, n + 1))
-    assert np.array_equal(x.values, np.concatenate(([0.0], np.cumsum(inc))))
+    for x in (generate(cfg), generate(cfg, bridge_level=None)):
+        assert np.array_equal(x.times, np.linspace(0.0, 1.0, n + 1))
+        assert np.array_equal(x.values, np.concatenate(([0.0], np.cumsum(inc))))
 
 
-def test_bridge_grid_validation_and_json():
-    with pytest.raises(ValueError):
-        PathGeneratorConfig("geometric", bridge_grid=(0.1, 0.0))
-    with pytest.raises(ValueError):
-        PathGeneratorConfig("custom-seeded", bridge_grid=(0.1, 0.0))
-    with pytest.raises(ValueError):
-        PathGeneratorConfig("wiener", bridge_grid=(0.1, 0.1))
-    with pytest.raises(ValueError):
-        PathGeneratorConfig("wiener", bridge_grid=(0.0, 0.0))
-    cfg = PathGeneratorConfig("wiener", step=2.0**-6, bridge_grid=[0.25, 0.125])
-    assert cfg.bridge_grid == (0.25, 0.125)
-    doc = cfg.to_json_dict()
-    assert doc["bridge_grid"] == [0.25, 0.125]
-    assert PathGeneratorConfig.from_json_dict(doc) == cfg
+@pytest.mark.parametrize("kind", [k for k in paths.GENERATOR_KINDS if k != "wiener"])
+def test_bridge_level_is_for_wiener_members_only(kind):
+    with pytest.raises(ValueError, match=f"wiener paths only, not {kind}"):
+        generate(PathGeneratorConfig(kind), bridge_level=4)
+
+
+@pytest.mark.parametrize(
+    "level", [-1024, 1075, -(2**70), 2**70], ids=["-1024", "1075", "-2^70", "2^70"]
+)
+def test_bridge_level_out_of_range_is_refused(level):
+    # 2^-level must be a finite nonzero float
+    with pytest.raises(ValueError, match=r"must be in \[-1023, 1074\]"):
+        generate(PathGeneratorConfig("wiener"), bridge_level=level)
+
+
+@pytest.mark.parametrize(
+    "level", [4.0, np.float64(4.0), True, "4", (4,)],
+    ids=["float", "numpy-float", "bool", "str", "tuple"],
+)
+def test_bridge_level_that_is_no_int_is_refused(level):
+    with pytest.raises(TypeError, match="must be an int"):
+        generate(PathGeneratorConfig("wiener"), bridge_level=level)
+
+
+def test_a_bridge_grid_key_is_refused_as_unknown(tmp_path):
+    # resolution is an argument of generate, never a generator setting
+    said = "generator: unknown keys ['bridge_grid']"
+    with pytest.raises(ValueError) as err:
+        PathGeneratorConfig.from_json_dict({"kind": "wiener", "bridge_grid": [2.0**-4, 0.0]})
+    assert str(err.value) == said
+    with pytest.raises(TypeError):
+        PathGeneratorConfig("wiener", bridge_grid=(2.0**-4, 0.0))
+    doc = ExperimentConfig("isometry-mc", PathGeneratorConfig("wiener"), m_hi=4).to_json_dict()
+    doc["generator"]["bridge_grid"] = [2.0**-4, 0.0]
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_json_dict(doc)
+    assert str(err.value) == said
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["isometry-mc", "--config", str(f)])
+    assert str(err.value.code) == f"{f}: {said}"
 
 
 def test_bridge_resolved_isometry_is_thread_count_free(monkeypatch, pool_sizes):
@@ -455,37 +483,20 @@ def test_bridge_resolved_isometry_is_thread_count_free(monkeypatch, pool_sizes):
 
 def test_bridge_resolution_is_bounded():
     # leaves of mesh^2/4 on a grid 2^-12 under steps of 2^-8: 2^27 samples
-    cfg = PathGeneratorConfig("wiener", step=2.0**-8, bridge_grid=(2.0**-12, 0.0))
     with pytest.raises(ResourceLimitError):
-        generate(cfg)
+        generate(PathGeneratorConfig("wiener", step=2.0**-8), bridge_level=12)
 
 
-@pytest.mark.parametrize("mesh", [math.inf, 1e200, 1e308, 1e-160, 1e-300])
-def test_bridge_meshes_at_the_extremes_fail_fast_or_keep_the_samples(mesh):
-    kw = dict(step=2.0**-4, seed=2)
-    if mesh == math.inf:
-        with pytest.raises(ValueError, match="mesh must be positive and finite"):
-            PathGeneratorConfig("wiener", bridge_grid=(mesh, 0.0), **kw)
-    elif mesh > 1.0:
-        # leaf variance (1/mesh)^2 step underflows to 0: no level is touched
-        x = generate(PathGeneratorConfig("wiener", bridge_grid=(mesh, 0.0), **kw))
-        y = generate(PathGeneratorConfig("wiener", **kw))
-        assert x.times.tobytes() == y.times.tobytes()
-        assert x.values.tobytes() == y.values.tobytes()
-    else:
-        # leaf variance overflows a float
-        with pytest.raises(ResourceLimitError):
-            generate(PathGeneratorConfig("wiener", bridge_grid=(mesh, 0.0), **kw))
-
-
-def test_bridge_touches_reach_non_dyadic_levels():
-    rng = np.random.default_rng(3)
-    lev = rng.integers(-10**6, 10**6, 5000).astype(float)
-    up = rng.random(5000) < 0.5
-    x = _level_values(lev.copy(), up, 0.1, 0.03)
-    u = (x - 0.03) / 0.1
-    assert np.all(np.where(up, u >= lev, u <= lev))
-    assert np.all(np.abs(x - (lev * 0.1 + 0.03)) <= 1e-9)
+def test_bridge_levels_at_the_extremes_fail_fast_or_keep_the_samples():
+    cfg = PathGeneratorConfig("wiener", step=2.0**-4, seed=2)
+    # mesh 2^1023: the leaf variance (1/mesh)^2 step underflows to 0, so no
+    # level is touched
+    x, y = generate(cfg, bridge_level=-1023), generate(cfg)
+    assert x.times.tobytes() == y.times.tobytes()
+    assert x.values.tobytes() == y.values.tobytes()
+    # mesh 2^-1074: the leaf variance overflows a float
+    with pytest.raises(ResourceLimitError):
+        generate(cfg, bridge_level=1074)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is set on glibc")

@@ -164,10 +164,12 @@ class ExperimentConfig:
             raise ValueError("ensemble_size must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed ({self.seed}) must be >= 0")
-        if self.m_lo < 0:
-            raise ValueError(f"m_lo ({self.m_lo}) must be >= 0")
-        if self.m_hi < 0:
-            raise ValueError(f"m_hi ({self.m_hi}) must be >= 0")
+        # a mesh 2^-m underflows to 0 past m = 1074, and integral-converge
+        # builds levels up to integrand_level + 2
+        for name, top in (("m_lo", 1074), ("m_hi", 1074), ("qv_level", 1074),
+                          ("est_level", 1074), ("integrand_level", 1072)):
+            if not 0 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} ({getattr(self, name)}) must be in [0, {top}]")
         if self.m_lo > self.m_hi:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
         if not all(0 < c < math.inf for c in self.c_exponents):
@@ -178,9 +180,6 @@ class ExperimentConfig:
             raise ValueError(f"threshold ({self.threshold}) must be None or > 0")
         if self.n_levels < 1:
             raise ValueError(f"n_levels ({self.n_levels}) must be >= 1")
-        for name in ("qv_level", "est_level", "integrand_level"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} ({getattr(self, name)}) must be >= 0")
         if self.generator.seed != self.seed:
             gen = dataclasses.replace(self.generator, seed=self.seed)
             object.__setattr__(self, "generator", gen)

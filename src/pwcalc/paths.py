@@ -356,132 +356,67 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float, mesh: f
     out_t, out_x = np.empty(bound), np.empty(bound)
     k = 0
     per_block = max(1, _BRIDGE_BLOCK // leaves)
-    # leaves per block, and block buffers allocated once per call
-    size = min(n, per_block) * leaves
-    p, q, u, above, below, p_up, p_dn, span, p_ud, p_du, draw, tmp, h = np.empty((13, size + 1))
-    flags = np.empty((5, size), dtype=bool)
-    ints = np.empty((2, size), dtype=np.int64)
-    bits = np.empty((2, size), dtype=np.uint32)
-    offsets = np.arange(size + 1)
     for s0 in range(0, n, per_block):
         s1 = min(n, s0 + per_block)
-        m = s1 - s0
-        nl = m * leaves
-        seg_hash = np.arange(s0, s1, dtype=np.uint32)
-        seg_hash *= _H0
-        seg_hash += key
-        _mix32(seg_hash, bits[1][:m])
-        # p[i*leaves + j], q[i*leaves + j]: value and time at fraction
+        nl = (s1 - s0) * leaves
+        seg_hash = _mix32(np.arange(s0, s1, dtype=np.uint32) * _H0 + key)
+        # P[i*leaves + j], Q[i*leaves + j]: value and time at fraction
         # j/leaves of segment s0 + i
-        P, Q = p[: nl + 1], q[: nl + 1]
+        P, Q = np.empty(nl + 1), np.empty(nl + 1)
         P[::leaves] = vals[s0 : s1 + 1]
         Q[::leaves] = times[s0 : s1 + 1]
         for lv in range(depth):
             gap = leaves >> lv
-            z = _bridge_normals(seg_hash, lv, bits, above, below)
-            z *= sd[lv]
-            mid = p_up[: z.size]
-            np.add(P[0:-1:gap], P[gap::gap], out=mid)
-            mid *= 0.5
-            z += mid
-            P[gap // 2 :: gap] = z
-            np.add(Q[0:-1:gap], Q[gap::gap], out=mid)
-            mid *= 0.5
-            Q[gap // 2 :: gap] = mid
+            z = _bridge_normals(seg_hash, lv)
+            P[gap // 2 :: gap] = z * sd[lv] + (P[0:-1:gap] + P[gap::gap]) * 0.5
+            Q[gap // 2 :: gap] = (Q[0:-1:gap] + Q[gap::gap]) * 0.5
         # nearest levels above and below each leaf's chord, in grid units
-        U = u[: nl + 1]
-        np.divide(P, mesh, out=U)
+        U = P / mesh
         a, b = U[:-1], U[1:]
-        A, B, PU, PD, S, PUD, PDU, D, T = (
-            x[:nl] for x in (above, below, p_up, p_dn, span, p_ud, p_du, draw, tmp)
-        )
-        np.maximum(a, b, out=A)
-        np.floor(A, out=A)
-        A += 1.0
-        np.minimum(a, b, out=B)
-        np.ceil(B, out=B)
-        B -= 1.0
-        # touch probabilities: above, below, above then below, below then above
-        np.subtract(A, a, out=PU)
-        np.subtract(A, b, out=T)
-        PU *= T
-        PU *= scale
-        np.exp(PU, out=PU)
-        np.subtract(a, B, out=PD)
-        np.subtract(b, B, out=T)
-        PD *= T
-        PD *= scale
-        np.exp(PD, out=PD)
-        np.subtract(A, B, out=S)
-        np.subtract(b, a, out=T)
-        np.add(S, T, out=PUD)
-        PUD *= S
-        PUD *= scale
-        np.exp(PUD, out=PUD)
-        np.subtract(S, T, out=PDU)
-        PDU *= S
-        PDU *= scale
-        np.exp(PDU, out=PDU)
+        A = np.floor(np.maximum(a, b)) + 1.0
+        B = np.ceil(np.minimum(a, b)) - 1.0
+        S, T = A - B, b - a
         # one uniform per leaf picks a case from consecutive intervals of
-        # [0, 1): above then below, below then above, above only, below only
-        np.multiply(_node_hash(seg_hash, leaves, leaves, bits), 2.0**-32, out=D)
-        two, first_up, one, ge, lt = (x[:nl] for x in flags)
-        PDU += PUD
-        np.less(D, PDU, out=two)
-        np.less(D, PUD, out=first_up)
-        PU -= PDU
-        np.maximum(PU, 0.0, out=PU)
-        PU += PDU
-        np.greater_equal(D, PDU, out=ge)
-        np.less(D, PU, out=lt)
-        ge &= lt
-        first_up |= ge
-        PD -= PDU
-        np.maximum(PD, 0.0, out=PD)
-        PD += PU
-        np.less(D, PD, out=one)
+        # [0, 1): above then below, below then above, above only, below only;
+        # p_ud, p_two, p_up and p_one are their ends, "only" taking the rest
+        # of each touch probability
+        p_ud = _touch(S + T, S, scale)
+        p_two = _touch(S - T, S, scale)
+        p_two += p_ud
+        p_up = np.maximum(_touch(A - a, A - b, scale) - p_two, 0.0) + p_two
+        p_one = np.maximum(_touch(a - B, b - B, scale) - p_two, 0.0) + p_up
+        D = _node_hash(seg_hash, leaves, leaves) * 2.0**-32
+        one, two = D < p_one, D < p_two
+        first_up = (D < p_ud) | ((D >= p_two) & (D < p_up))
         # each leaf start is followed by its touches: one at the leaf's
         # midpoint time, two at its thirds
-        count, at = (x[:nl] for x in ints)
-        np.add(one, two, out=count, dtype=np.int64)
-        np.cumsum(count, out=at)
-        at -= count
-        at += offsets[:nl]
-        at += k
-        out_x[at] = P[:-1]
-        out_t[at] = Q[:-1]
-        H = h[:nl]
-        np.subtract(Q[1:], Q[:-1], out=H)
+        count = np.add(one, two, dtype=np.int64)
+        at = np.arange(k, k + nl) + np.cumsum(count) - count
+        out_x[at], out_t[at] = P[:-1], Q[:-1]
         hit = np.flatnonzero(one)
-        at = at[hit]
-        at += 1
-        up = first_up[hit]
-        lev = B[hit]
-        lev += up * S[hit]
-        lev *= mesh
-        out_x[at] = lev
-        pair = two[hit]
-        frac = pair * (1.0 / 3.0 - 0.5)
-        frac += 0.5
-        frac *= H[hit]
-        frac += Q[hit]
-        out_t[at] = frac
+        at = at[hit] + 1
+        up, pair = first_up[hit], two[hit]
+        out_x[at] = (B[hit] + up * S[hit]) * mesh
+        out_t[at] = (pair * (1.0 / 3.0 - 0.5) + 0.5) * (Q[hit + 1] - Q[hit]) + Q[hit]
         sub = np.flatnonzero(pair)
-        hit = hit[sub]
-        at = at[sub]
-        at += 1
-        up = ~up[sub]
-        lev = B[hit]
-        lev += up * S[hit]
-        lev *= mesh
-        out_x[at] = lev
-        frac = H[hit]
-        frac *= 2.0 / 3.0
-        frac += Q[hit]
-        out_t[at] = frac
+        hit, at = hit[sub], at[sub] + 1
+        out_x[at] = (B[hit] + ~up[sub] * S[hit]) * mesh
+        out_t[at] = (Q[hit + 1] - Q[hit]) * (2.0 / 3.0) + Q[hit]
         k += nl + int(count.sum())
     out_t[k], out_x[k] = times[-1], vals[-1]
-    return out_t[: k + 1], out_x[: k + 1]
+    # the member keeps only its own samples, not the bound's
+    out_t.resize(k + 1, refcheck=False)
+    out_x.resize(k + 1, refcheck=False)
+    return out_t, out_x
+
+
+def _touch(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
+    """exp(x * y * scale), in x's memory: the probability that a leaf's
+    bridge touches a level, x and y the level's distances from the leaf's
+    ends, or the reflected distances of a touch of both levels."""
+    x *= y
+    x *= scale
+    return np.exp(x, out=x)
 
 
 # glibc mallopt parameters (malloc.h)
@@ -492,8 +427,9 @@ _M_MMAP_THRESHOLD = -3
 def _retain_freed_memory() -> None:
     """Keep freed array memory in the process, where glibc's mallopt exists.
 
-    Curves, merged stamps, grid hits and bridge buffers are fresh arrays of
-    0.1-4 MB, made and dropped once or more per member. By default glibc
+    Curves, merged stamps, grid hits, and the bridge resolver's output
+    buffers and per-block leaf arrays are fresh arrays of 0.1-4 MB, made and
+    dropped once or more per member. By default glibc
     maps such a block in on its own and unmaps it when it is freed, or trims
     the heap top back to the kernel, so the next member faults every page in
     again (about 64k minor faults per grid-qv bench pass at one thread). With
@@ -519,54 +455,39 @@ _H2 = np.uint32(0x68E31DA4)
 _TWO_PI_32 = np.float32(2.0 * math.pi * 2.0**-32)
 
 
-def _mix32(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """In-place 32-bit integer hash (lowbias32 finalizer) of a uint32 array;
-    y is scratch of the same length."""
-    np.right_shift(x, np.uint32(16), out=y)
-    x ^= y
+def _mix32(x: np.ndarray) -> np.ndarray:
+    """In-place 32-bit integer hash (lowbias32 finalizer) of a uint32 array."""
+    x ^= x >> np.uint32(16)
     x *= np.uint32(0x7FEB352D)
-    np.right_shift(x, np.uint32(15), out=y)
-    x ^= y
+    x ^= x >> np.uint32(15)
     x *= np.uint32(0x846CA68B)
-    np.right_shift(x, np.uint32(16), out=y)
-    x ^= y
+    x ^= x >> np.uint32(16)
     return x
 
 
-def _node_hash(seg_hash: np.ndarray, first: int, count: int, bits: np.ndarray) -> np.ndarray:
-    """Hash of (segment, heap node first + q) for q < count, segment-major,
-    in bits[0]; bits[1] is scratch."""
-    x = bits[0][: seg_hash.size * count]
-    nodes = np.arange(first, first + count, dtype=np.uint32)
-    nodes *= _H1
+def _node_hash(seg_hash: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Hash of (segment, heap node first + q) for q < count, segment-major."""
+    x = np.empty(seg_hash.size * count, dtype=np.uint32)
+    nodes = np.arange(first, first + count, dtype=np.uint32) * _H1
     for q in range(count):
         np.add(seg_hash, nodes[q], out=x[q::count])
-    return _mix32(x, bits[1][: x.size])
+    return _mix32(x)
 
 
-def _bridge_normals(seg_hash, lv, bits, radius, out) -> np.ndarray:
+def _bridge_normals(seg_hash: np.ndarray, lv: int) -> np.ndarray:
     """Standard normals of the midpoints at tree level lv, segment-major.
 
     One Box-Muller pair per parent node (node 0 for the roots) gives the
     cosine normal to its left child and the sine normal to its right child.
-    radius and out are float scratch, out of at least twice the pair count.
     """
     half = 1 << lv >> 1
-    x = _node_hash(seg_hash, half, max(half, 1), bits)
-    r = radius[: x.size]
-    np.add(x, 0.5, out=r)
-    r *= 2.0**-32
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
+    x = _node_hash(seg_hash, half, max(half, 1))
+    r = np.sqrt(np.log((x + 0.5) * 2.0**-32) * -2.0)
     x ^= _H2
-    angle = _mix32(x, bits[1][: x.size]).astype(np.float32)
-    angle *= _TWO_PI_32
+    angle = _mix32(x).astype(np.float32) * _TWO_PI_32
     if lv == 0:
-        z = out[: x.size]
-        np.multiply(r, np.cos(angle), out=z)
-        return z
-    z = out[: 2 * x.size]
-    np.multiply(r, np.cos(angle), out=z[0::2])
-    np.multiply(r, np.sin(angle), out=z[1::2])
+        return r * np.cos(angle)
+    z = np.empty(2 * x.size)
+    z[0::2] = r * np.cos(angle)
+    z[1::2] = r * np.sin(angle)
     return z

@@ -485,10 +485,16 @@ def test_empty_m_range_is_rejected(tmp_path):
         ("p_list", {"p_list": (float("inf"),)}),
         ("p_list", {"p_list": ()}),
         ("seed", {"seed": -5}),
+        ("m_lo", {"m_lo": 1075, "m_hi": 1075}),
+        ("m_hi", {"m_hi": 1075}),
+        ("qv_level", {"qv_level": 1075}),
+        ("est_level", {"est_level": 1075}),
+        ("integrand_level", {"integrand_level": 1073}),
     ],
 )
 def test_config_out_of_range_is_named(tmp_path, field, bad):
-    # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows;
+    # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows,
+    # or underflows past m = 1074 (integral-converge builds integrand_level + 2);
     # no localisation level makes every distance 0; a NaN compares false
     # with every bound, so a sandwich stopped at it would never stop; C_p
     # needs 1 <= p < inf; an empty swept list checks nothing

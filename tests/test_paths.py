@@ -1,9 +1,11 @@
 """Paths: construction, interpolation, exact hitting solves, generators."""
 
+import hashlib
 import json
 import math
 import platform
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +411,36 @@ def test_bridge_keeps_samples_and_is_deterministic():
     assert np.array_equal(y.times, z.times) and np.array_equal(y.values, z.values)
 
 
+def test_bridge_resolved_members_are_pinned_bitwise():
+    # tree depths 0, 1, 7 and 13: one leaf per step, two, and four blocks
+    # of 128 and of 8192 leaves per step
+    h = hashlib.sha256()
+    for step, level, vol in ((2.0**-12, 6, 0.7), (2.0**-16, 8, 1.0), (2.0**-10, 8, 1.0),
+                             (2.0**-4, 8, 1.0)):
+        x = generate(PathGeneratorConfig("wiener", step=step, seed=5, volatility=vol), level)
+        h.update(x.times.tobytes())
+        h.update(x.values.tobytes())
+    assert h.hexdigest() == "b1028c3486426fab30b2e6a35fda8e137730b05afc330cb86ce9337e27343cb4"
+
+
+def test_a_bridge_resolved_member_holds_only_its_samples():
+    # the output buffers are sized to the bound of 3 * leaves samples per
+    # step; at step 2^-16 and level 8 a member uses about half of them
+    cfg = PathGeneratorConfig("wiener", step=2.0**-16, seed=1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = generate(cfg, bridge_level=8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    samples = x.times.nbytes + x.values.nbytes
+    assert abs(held - samples) <= 0.05 * samples
+
+
 def test_no_bridge_level_is_the_chord_generator():
     cfg = PathGeneratorConfig("wiener", step=2.0**-10, seed=12, volatility=0.7, drift=0.3)
     n = 2**10
@@ -499,20 +531,32 @@ def test_bridge_levels_at_the_extremes_fail_fast_or_keep_the_samples():
         generate(cfg, bridge_level=1074)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is set on glibc")
-def test_freed_curve_memory_is_reused():
-    # glibc's default maps each multi-megabyte curve in anew and unmaps it
-    # when freed: about 2.8k minor faults per call here against 0 once
-    # freed memory stays in the process
-    import resource
-
+def _curve_call():
     x = generate(PathGeneratorConfig("wiener", step=2.0**-16, seed=1))
     seq = lebesgue_sequence(x, GridSpec(2.0**-10, 0.0))
-    simple_qv(x, seq)
+    return lambda: simple_qv(x, seq)
+
+
+def _bridge_call():
+    cfg = PathGeneratorConfig("wiener", step=2.0**-16, seed=1)
+    return lambda: generate(cfg, bridge_level=8)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is set on glibc")
+@pytest.mark.parametrize("make", [_curve_call, _bridge_call], ids=["simple-qv", "bridge"])
+def test_freed_curve_memory_is_reused(make):
+    # glibc's default maps each multi-megabyte curve or resolver array in
+    # anew and unmaps it when freed: about 2.8k minor faults per simple_qv
+    # call and 9.1k per resolved member here, against 0 once freed memory
+    # stays in the process
+    import resource
+
+    call = make()
+    call()
     calls = 10
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(calls):
-        simple_qv(x, seq)
+        call()
     assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls < 300
 
 

@@ -16,6 +16,7 @@ every inequality is checked exactly (up to float tolerance) at every index.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -98,10 +99,18 @@ class BdgCertificate:
 
 
 def bdg_constant(p: float) -> float:
-    """C_p = 6^p (p-1)^(p-1), for p >= 1; it is 6 at p = 1."""
+    """C_p = 6^p (p-1)^(p-1), for p >= 1; it is 6 at p = 1. ValueError naming
+    p where C_p is no finite float: below 1, and above p ~ 110.18, where it
+    overflows."""
     if not p >= 1.0:
-        raise ValueError("C_p needs p >= 1")
-    return 6.0**p * (p - 1.0) ** (p - 1.0)
+        raise ValueError(f"C_p needs p >= 1, not p = {float(p)!r}")
+    try:
+        cp = 6.0**p * (p - 1.0) ** (p - 1.0)
+    except OverflowError:  # a power past the float range raises; a product is inf
+        cp = math.inf
+    if not math.isfinite(cp):
+        raise ValueError(f"C_p overflows a float at p = {float(p)!r}")
+    return cp
 
 
 def _as_seq(x) -> DiscreteSequence:
@@ -242,11 +251,11 @@ def certificate_p(x, p: float) -> BdgCertificate:
     """Shifted-window weights f, g and both inequalities for p > 1."""
     if not p > 1.0:
         raise ValueError("certificate_p needs p > 1; use certificate_p1 for p = 1")
+    cp = bdg_constant(p)
     s = _as_seq(x)
     f, g = _fg(p, s)
     fx = _lagged_integral(f, s.x)
     gx = _lagged_integral(g, s.x)
-    cp = bdg_constant(p)
     return BdgCertificate(
         p=p,
         cp=cp,

@@ -23,7 +23,9 @@ Each experiment reads some of the nine experiment fields of a config:
 A config that sets any other of the nine to a value other than its default
 is refused. A config file that cannot be read, is malformed or is refused,
 and an override that is out of range, stop the command with one line naming
-the file or the override.
+the file or the override. A run that would pass a resource limit, such as
+the stops a grid may yield, stops it with one line naming the experiment and
+the limit.
 
 Exit status is nonzero when any pathwise check fails; --strict-mc
 promotes statistical warnings to failures as well.
@@ -37,6 +39,18 @@ import json
 import sys
 
 from .harness import EXPERIMENTS, ExperimentConfig, default_config, run
+from .paths import ResourceLimitError
+
+
+# the command-line option behind each ExperimentConfig field it overrides,
+# with the option's argparse settings
+_OPTIONS = {
+    "seed": ("--seed", {"type": int, "help": "override the config seed"}),
+    "output_dir": ("--out", {"metavar": "DIR", "help": "output directory for report and tables"}),
+    "strict_mc": ("--strict-mc", {"action": "store_true",
+                                  "help": "treat statistical warnings as failures"}),
+    "oracle": ("--oracle", {"action": "store_true", "help": "enable brute-force cross-checks"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,37 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file; preset used if omitted")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="output directory for report and tables")
-        p.add_argument(
-            "--strict-mc",
-            action="store_true",
-            help="treat statistical warnings as failures",
-        )
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="enable brute-force cross-checks",
-        )
+        # an override is stored under its field, and only when it is given
+        for field, (option, settings) in _OPTIONS.items():
+            p.add_argument(option, dest=field, default=argparse.SUPPRESS, **settings)
     return parser
 
 
-# the command-line option behind each ExperimentConfig field it overrides
-_OPTIONS = {
-    "seed": "--seed", "output_dir": "--out", "strict_mc": "--strict-mc", "oracle": "--oracle"
-}
-
-
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if args.strict_mc:
-        updates["strict_mc"] = True
-    if args.oracle:
-        updates["oracle"] = True
+    updates = {name: getattr(args, name) for name in _OPTIONS if hasattr(args, name)}
     source = args.config
     try:  # malformed JSON is a ValueError too
         if args.config:
@@ -90,7 +81,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 )
         else:
             cfg = default_config(args.experiment)
-        source = " ".join(_OPTIONS[name] for name in updates)
+        source = " ".join(_OPTIONS[name][0] for name in updates)
         return dataclasses.replace(cfg, **updates)
     except OSError as exc:  # only opening or reading the config file raises it
         raise SystemExit(f"{args.config}: {exc.strerror or exc}") from None
@@ -101,7 +92,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args)
-    report = run(cfg)
+    try:
+        report = run(cfg)
+    except ResourceLimitError as exc:
+        raise SystemExit(f"{cfg.experiment}: {exc}") from None
     for c in report.checks:
         status = "PASS" if c.passed else ("FAIL" if c.kind == "pathwise" else "WARN")
         if not c.passed and cfg.strict_mc:

@@ -32,23 +32,16 @@ except ImportError:  # not on every platform
 from . import bdg, integration, partitions, quadvar, truncvar
 from .partitions import GridSpec, lebesgue_sequence
 from .paths import (
+    INFINITE_TIME,
     REL_TOL,
     PathGeneratorConfig,
     SampledPath,
     _check_json_fields,
     generate,
-    hitting_time_abs,
 )
 from .quadvar import simple_qv, sup_distance
 
 SCHEMA_VERSION = 1
-
-# the settings some experiment reads; a config refuses a value other than the
-# default in any of them that its experiment does not read
-_EXPERIMENT_FIELDS = (
-    "m_lo", "m_hi", "c_exponents", "p_list", "n_levels", "qv_level", "est_level",
-    "integrand_level", "threshold",
-)
 
 
 def thread_count() -> int:
@@ -69,15 +62,6 @@ def _usable_cpus() -> int:
 
 # ensembles of members with fewer samples run on the calling thread
 PARALLEL_MIN_SAMPLES = 2**15
-
-
-def _workers(items: int, samples: int) -> int:
-    """Pool size for a map over items, each a path of at least `samples`
-    samples: 1 below PARALLEL_MIN_SAMPLES, else one worker per item and per
-    CPU the process may run on, up to PWCALC_THREADS."""
-    if samples < PARALLEL_MIN_SAMPLES:
-        return 1
-    return min(thread_count(), items, _usable_cpus())
 
 
 def parallel_map(fn, items, workers: int):
@@ -121,10 +105,13 @@ def tree_mean(values) -> float:
 class ExperimentConfig:
     """One experiment's settings. seed is the experiment's one seed: building
     the config sets its generator's seed to it, and member i is the generator
-    at seed + i. Of the fields from m_lo to threshold, each experiment reads
-    those its _EXPERIMENT_TABLE row names. A value other than the default in
-    any other is refused: it would change the report's echo and not its
-    tables."""
+    at seed + i. Of _EXPERIMENT_FIELDS, the fields some _EXPERIMENT_TABLE row
+    reads, each experiment reads those its row names. A value other than the
+    default in any other is refused: it would change the report's echo and
+    not its tables. Values are checked when the config is built: the levels
+    against the range where 2^-level is a positive float, n_levels in
+    [1, 1074], and each p in p_list by bdg.bdg_constant, which refuses a p
+    whose C_p is no finite float."""
 
     experiment: str
     generator: PathGeneratorConfig
@@ -164,22 +151,25 @@ class ExperimentConfig:
             raise ValueError("ensemble_size must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed ({self.seed}) must be >= 0")
-        # a mesh 2^-m underflows to 0 past m = 1074, and integral-converge
-        # builds levels up to integrand_level + 2
-        for name, top in (("m_lo", 1074), ("m_hi", 1074), ("qv_level", 1074),
-                          ("est_level", 1074), ("integrand_level", 1072)):
-            if not 0 <= getattr(self, name) <= top:
-                raise ValueError(f"{name} ({getattr(self, name)}) must be in [0, {top}]")
+        # a mesh 2^-m, and distance-rates' weight 2^-n of localisation level
+        # n, underflow to 0 past 1074; integral-converge builds levels up to
+        # integrand_level + 2
+        for name, low, top in (("m_lo", 0, 1074), ("m_hi", 0, 1074), ("n_levels", 1, 1074),
+                               ("qv_level", 0, 1074), ("est_level", 0, 1074),
+                               ("integrand_level", 0, 1072)):
+            if not low <= getattr(self, name) <= top:
+                raise ValueError(f"{name} ({getattr(self, name)}) must be in [{low}, {top}]")
         if self.m_lo > self.m_hi:
             raise ValueError(f"m_lo ({self.m_lo}) must not exceed m_hi ({self.m_hi})")
         if not all(0 < c < math.inf for c in self.c_exponents):
             raise ValueError(f"c_exponents {self.c_exponents} must all be > 0 and finite")
-        if not all(1 <= p < math.inf for p in self.p_list):
-            raise ValueError(f"p_list {self.p_list} must all be >= 1 and finite")
+        try:  # C_p must be a finite float at each p
+            for p in self.p_list:
+                bdg.bdg_constant(p)
+        except ValueError as exc:
+            raise ValueError(f"p_list {self.p_list}: {exc}") from None
         if self.threshold is not None and not self.threshold > 0:
             raise ValueError(f"threshold ({self.threshold}) must be None or > 0")
-        if self.n_levels < 1:
-            raise ValueError(f"n_levels ({self.n_levels}) must be >= 1")
         if self.generator.seed != self.seed:
             gen = dataclasses.replace(self.generator, seed=self.seed)
             object.__setattr__(self, "generator", gen)
@@ -252,8 +242,13 @@ def _member(cfg: ExperimentConfig, i: int, bridge_level: int | None = None) -> S
 
 
 def _ensemble_workers(cfg: ExperimentConfig) -> int:
-    """Pool size of cfg's ensemble, from the length every member reaches."""
-    return _workers(cfg.ensemble_size, cfg.generator.segments)
+    """Pool size of cfg's ensemble, whose members each reach
+    cfg.generator.segments samples: 1 below PARALLEL_MIN_SAMPLES, else one
+    worker per member and per CPU the process may run on, up to
+    PWCALC_THREADS."""
+    if cfg.generator.segments < PARALLEL_MIN_SAMPLES:
+        return 1
+    return min(thread_count(), cfg.ensemble_size, _usable_cpus())
 
 
 def _each_member(cfg: ExperimentConfig, fn, bridge_level: int | None = None) -> list:
@@ -338,17 +333,17 @@ def _exp_bdg_certify(cfg: ExperimentConfig):
         offset = float(rng.uniform(0.0, mesh))
         offset = 0.0 if offset >= mesh else offset
         seq = lebesgue_sequence(x, GridSpec(mesh, offset))
-        # the p = 1 certificate and sigma serve the rows and both witness checks
+        # the p = 1 certificate serves the rows and both witness checks, which
+        # run unstopped
         cert1 = bdg.certify_path(x, seq, 1.0)
         rows = [
             {"member": i, "p": p, "stops": len(seq),
              "holds": bool((cert1 if p == 1.0 else bdg.certify_path(x, seq, p)).holds)}
             for p in cfg.p_list
         ]
-        sigma = hitting_time_abs(x, 1.0 + float(np.max(np.abs(x.values))))
         return rows, (
-            integration._witness_gap(x, seq, sigma),
-            integration._bdg_witness_gap(x, seq, cert1, sigma),
+            integration._witness_gap(x, seq, INFINITE_TIME),
+            integration._bdg_witness_gap(x, seq, cert1, INFINITE_TIME),
         )
 
     per_member, gaps = zip(*_each_member(cfg, one))
@@ -695,6 +690,13 @@ _EXPERIMENT_TABLE = {
 }
 
 EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
+
+# the settings some experiment reads, in field order; a config refuses a value
+# other than the default in any of them that its experiment does not read
+_EXPERIMENT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if any(f.name in row.reads for row in _EXPERIMENT_TABLE.values())
+)
 
 
 def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:

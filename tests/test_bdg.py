@@ -1,5 +1,6 @@
 """Certified maximal inequalities for discrete sequences and sampled paths."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -82,6 +83,10 @@ def test_bdg_constant():
     assert bdg.bdg_constant(2.0) == 36.0
     with pytest.raises(ValueError):
         bdg.bdg_constant(0.5)
+    # C_p overflows a float as a product at 120 and as a power at 500
+    for p in (120.0, 500.0):
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            bdg.bdg_constant(p)
 
 
 def test_certificate_p_requires_p_above_one():
@@ -246,7 +251,8 @@ def test_weights_do_not_depend_on_the_thread(monkeypatch):
     items = [(p, _level_walk(mesh)) for mesh in (0.016, 0.033, 0.04) for p in (1.5, 3.0)]
     serial = [bdg._fg(p, s) for p, s in items]
     monkeypatch.setenv("PWCALC_THREADS", "2")
-    workers = harness._workers(len(items), harness.PARALLEL_MIN_SAMPLES)
+    long = harness.default_config("qv-converge")  # members of 2^16 steps: a pool
+    workers = harness._ensemble_workers(dataclasses.replace(long, ensemble_size=len(items)))
     threaded = harness.parallel_map(lambda item: bdg._fg(*item), items, workers)
     for (f, g), (ft, gt) in zip(serial, threaded):
         assert f.tobytes() == ft.tobytes() and g.tobytes() == gt.tobytes()

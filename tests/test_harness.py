@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from pwcalc import ExperimentConfig, GridSpec, PathGeneratorConfig, default_config, run
-from pwcalc import bdg, cli, generate, harness, integration, lebesgue_sequence, quadvar, qv_at
+from pwcalc import bdg, cli, generate, harness, integration, lebesgue_sequence, partitions, paths
+from pwcalc import quadvar, qv_at
 from pwcalc.harness import (
     EXPERIMENTS,
     _non_increasing,
@@ -69,14 +70,16 @@ def test_tree_sum_matches_sum():
     assert tree_mean([2.0, 4.0]) == 3.0
 
 
-# members long enough for a pool
-_LONG = harness.PARALLEL_MIN_SAMPLES
+def _long(n):
+    """A config of n members long enough for a pool; no member is drawn."""
+    gen = PathGeneratorConfig("wiener", step=1.0 / harness.PARALLEL_MIN_SAMPLES)
+    return _tiny("sandwich", ensemble_size=n, generator=gen)
 
 
 def test_parallel_map_is_ordered(monkeypatch):
     monkeypatch.setenv("PWCALC_THREADS", "3")
     assert thread_count() == 3
-    out = parallel_map(lambda i: i * i, range(20), harness._workers(20, _LONG))
+    out = parallel_map(lambda i: i * i, range(20), harness._ensemble_workers(_long(20)))
     assert out == [i * i for i in range(20)]
     monkeypatch.setenv("PWCALC_THREADS", "junk")
     assert thread_count() == 1
@@ -105,9 +108,8 @@ def test_parallel_map_pool_is_bounded_by_cpus_and_items(monkeypatch):
     cpus = harness._usable_cpus()
     for n in (2, 50):
         pools.clear()
-        assert parallel_map(lambda i: -i, range(n), harness._workers(n, _LONG)) == [
-            -i for i in range(n)
-        ]
+        pool = harness._ensemble_workers(_long(n))
+        assert parallel_map(lambda i: -i, range(n), pool) == [-i for i in range(n)]
         workers = min(n, cpus)
         assert pools == ([workers] if workers > 1 else [])
 
@@ -181,8 +183,9 @@ def test_run_metadata_records_minor_faults(monkeypatch, tmp_path):
 
 
 def test_bdg_certify_certifies_p1_once_per_member(monkeypatch):
-    # one p = 1 certificate and one sigma per member serve the rows and both
-    # witness checks, also when p_list lacks 1.0
+    # one p = 1 certificate per member serves the rows and both witness
+    # checks, also when p_list lacks 1.0; the checks run unstopped, so no
+    # sigma is solved
     calls = {"certify": 0, "sigma": 0}
 
     def counted(key, fn):
@@ -193,12 +196,12 @@ def test_bdg_certify_certifies_p1_once_per_member(monkeypatch):
 
     for mod in (bdg, integration):
         monkeypatch.setattr(mod, "certify_path", counted("certify", mod.certify_path))
-    for mod in (harness, integration):
-        monkeypatch.setattr(mod, "hitting_time_abs", counted("sigma", mod.hitting_time_abs))
+    for mod in (paths, integration):
+        monkeypatch.setattr(mod, "_exit_times", counted("sigma", mod._exit_times))
     for p_list, per_member in (((1.0, 2.0), 2), ((1.5, 2.0), 3)):
         calls.update(certify=0, sigma=0)
         assert run(_tiny("bdg-certify", ensemble_size=3, p_list=p_list)).pathwise_ok
-        assert calls == {"certify": 3 * per_member, "sigma": 3}
+        assert calls == {"certify": 3 * per_member, "sigma": 0}
 
 
 def test_integral_converge_draws_each_member_once(monkeypatch):
@@ -490,14 +493,19 @@ def test_empty_m_range_is_rejected(tmp_path):
         ("qv_level", {"qv_level": 1075}),
         ("est_level", {"est_level": 1075}),
         ("integrand_level", {"integrand_level": 1073}),
+        ("n_levels", {"n_levels": 1075}),
+        ("p_list", {"p_list": (120.0,)}),
+        ("p_list", {"p_list": (500.0,)}),
     ],
 )
 def test_config_out_of_range_is_named(tmp_path, field, bad):
     # c = m^-2: m = 0 divides by zero and -m duplicates m; 2^-m overflows,
     # or underflows past m = 1074 (integral-converge builds integrand_level + 2);
-    # no localisation level makes every distance 0; a NaN compares false
-    # with every bound, so a sandwich stopped at it would never stop; C_p
-    # needs 1 <= p < inf; an empty swept list checks nothing
+    # no localisation level makes every distance 0, and the weight 2^-n of
+    # level n underflows past 1074; a NaN compares false with every bound, so
+    # a sandwich stopped at it would never stop; C_p needs p >= 1 and
+    # overflows a float above p ~ 110.18 (a product, to inf) and from p ~ 145
+    # (a power, which raises); an empty swept list checks nothing
     # each row runs on an experiment that reads its field, and a ttv-converge
     # row sweeps a list, so neither the unread-field refusal nor the
     # empty-list rule comes first
@@ -519,6 +527,16 @@ def test_config_out_of_range_is_named(tmp_path, field, bad):
         cli.main([experiment, "--config", str(f)])
     assert str(err.value.code).startswith(f"{f}: {field} ")
     assert _tiny(experiment, **swept, m_lo=0).m_lo == 0
+
+
+def test_cli_resource_limit_is_one_line_naming_the_experiment(monkeypatch, tmp_path):
+    monkeypatch.setattr(partitions, "MAX_GRID_HITS", 10)
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(_tiny("qv-converge", ensemble_size=2, m_lo=2, m_hi=4).to_json_dict()))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["qv-converge", "--config", str(f)])
+    msg = str(err.value.code)
+    assert msg.startswith("qv-converge: ") and msg.endswith("(limit 10)") and "\n" not in msg
 
 
 def test_cli_seed_override():

@@ -1,4 +1,5 @@
-"""Import hygiene: every module uses what it imports; the package exports resolve."""
+"""Import hygiene: every module uses what it imports; the package exports resolve;
+private code has a caller."""
 
 import ast
 import pathlib
@@ -58,3 +59,37 @@ def test_exports_are_exactly_the_imported_names():
     init = SRC / "__init__.py"
     imported = {name for name, _ in _imported(ast.parse(init.read_text(), filename=str(init)))}
     assert set(pwcalc.__all__) == imported
+
+
+def _top_level_references():
+    """(module, top-level statement, names it reads or imports), for every
+    top-level statement of every module."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            yield path.name, stmt, names
+
+
+def test_every_private_function_has_a_caller():
+    # code with no user path is deleted: each private module-level function
+    # or class is named somewhere in the package outside its own definition
+    refs = list(_top_level_references())
+    private = [
+        (module, stmt)
+        for module, stmt, _ in refs
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+    ]
+    assert private
+    orphans = [
+        f"{module}:{stmt.name}"
+        for module, stmt in private
+        if not any(stmt.name in names for _, other, names in refs if other is not stmt)
+    ]
+    assert not orphans, f"private code no one calls: {', '.join(orphans)}"

@@ -102,14 +102,15 @@ def bdg_constant(p: float) -> float:
     """C_p = 6^p (p-1)^(p-1), for p >= 1; it is 6 at p = 1. ValueError naming
     p where C_p is no finite float: below 1, and above p ~ 110.18, where it
     overflows."""
+    p = float(p)  # a numpy float would overflow with a warning, not raise
     if not p >= 1.0:
-        raise ValueError(f"C_p needs p >= 1, not p = {float(p)!r}")
+        raise ValueError(f"C_p needs p >= 1, not p = {p!r}")
     try:
         cp = 6.0**p * (p - 1.0) ** (p - 1.0)
     except OverflowError:  # a power past the float range raises; a product is inf
         cp = math.inf
     if not math.isfinite(cp):
-        raise ValueError(f"C_p overflows a float at p = {float(p)!r}")
+        raise ValueError(f"C_p overflows a float at p = {p!r}")
     return cp
 
 

@@ -235,10 +235,14 @@ class Report:
         )
 
 
-def _member(cfg: ExperimentConfig, i: int, bridge_level: int | None = None) -> SampledPath:
-    """Ensemble member i: cfg's generator at seed cfg.seed + i, its Brownian
-    bridges resolved on 2^-bridge_level Z when that is given."""
-    return generate(dataclasses.replace(cfg.generator, seed=cfg.seed + i), bridge_level)
+def _member_generator(cfg: ExperimentConfig, i: int) -> PathGeneratorConfig:
+    """cfg's generator for ensemble member i: seed cfg.seed + i."""
+    return dataclasses.replace(cfg.generator, seed=cfg.seed + i)
+
+
+def _member(cfg: ExperimentConfig, i: int) -> SampledPath:
+    """Ensemble member i, the chord path through its samples."""
+    return generate(_member_generator(cfg, i))
 
 
 def _ensemble_workers(cfg: ExperimentConfig) -> int:
@@ -251,11 +255,11 @@ def _ensemble_workers(cfg: ExperimentConfig) -> int:
     return min(thread_count(), cfg.ensemble_size, _usable_cpus())
 
 
-def _each_member(cfg: ExperimentConfig, fn, bridge_level: int | None = None) -> list:
+def _each_member(cfg: ExperimentConfig, fn) -> list:
     """[fn(i, member i) for every member i], in member order, whatever the
     thread count."""
     return parallel_map(
-        lambda i: fn(i, _member(cfg, i, bridge_level)),
+        lambda i: fn(i, _member(cfg, i)),
         range(cfg.ensemble_size),
         _ensemble_workers(cfg),
     )
@@ -476,14 +480,19 @@ def _exp_sandwich(cfg: ExperimentConfig):
 def _exp_isometry_mc(cfg: ExperimentConfig):
     m = cfg.m_hi
     grid = GridSpec(2.0**-m, 0.0)
-    # E[X_T^2] = E[QV_T] needs a martingale between samples: resolve each
-    # wiener member's Brownian bridges on the grid the check uses
-    level = m if cfg.generator.kind == "wiener" else None
+    # E[X_T^2] = E[QV_T] needs a martingale between samples: each wiener
+    # member's QV is taken with its Brownian bridges resolved on the grid
+    # the check uses
+    wiener = cfg.generator.kind == "wiener"
 
     def one(i, x):
-        return float((x.values[-1] - x.values[0]) ** 2), quadvar._terminal_qv(x, grid)
+        if wiener:
+            qv = quadvar._bridge_terminal_qv(x, _member_generator(cfg, i), m)
+        else:
+            qv = quadvar._terminal_qv(x, grid)
+        return float((x.values[-1] - x.values[0]) ** 2), qv
 
-    disp, qv = (np.asarray(col) for col in zip(*_each_member(cfg, one, level)))
+    disp, qv = (np.asarray(col) for col in zip(*_each_member(cfg, one)))
     diff_mean, diff_se = _mean_se(disp - qv)
     z = _z(diff_mean, diff_se)
     dm, dse = _mean_se(disp)
@@ -560,7 +569,7 @@ def _exp_integral_converge(cfg: ExperimentConfig):
             rhs = integration.stieltjes_integral(gh, quadvar.simple_qcov(x, y, seq), x.horizon)
             return abs(lhs - rhs)
 
-        local = _localization_check(x, cfg.integrand_level + 2) if i == 0 else None
+        local = _localization_check(x, mf) if i == 0 else None
         return (*(gap(2.0**-j) for j in js), mf.sup_distances, local)
 
     *gap_columns, sups, local = zip(*_each_member(cfg, one))
@@ -587,10 +596,11 @@ def _exp_integral_converge(cfg: ExperimentConfig):
     }
 
 
-def _localization_check(x: SampledPath, m_max: int) -> Check:
-    # localization consistency is pathwise: any disagreement raises
+def _localization_check(x: SampledPath, mf: integration.ModelFreeResult) -> Check:
+    # localization consistency is pathwise: any disagreement raises; mf, the
+    # integral of x against itself, holds the curve of the levels x does not reach
     try:
-        integration.localized_integral(x, x, [1.0, 2.0, 4.0], m_max)
+        integration._localized_integral(x, x, [1.0, 2.0, 4.0], len(mf.curves) - 1, mf.curves[-1])
     except integration.ConsistencyError as exc:
         return Check("localization-consistent", "pathwise", False, {"error": str(exc)})
     return Check("localization-consistent", "pathwise", True, {})

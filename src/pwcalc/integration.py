@@ -239,13 +239,20 @@ def localized_integral(
     smaller N; any disagreement past tolerance raises ConsistencyError since
     it can only come from an implementation fault.
     """
+    return _localized_integral(f, x, n_schedule, m_max, None)
+
+
+def _localized_integral(f, x, n_schedule, m_max: int, whole) -> LocalizedResult:
+    """localized_integral, given whole, the curve
+    capital_process(step_approximation(f, m_max), x) of every level f does
+    not reach, when the caller holds it already, else None."""
     levels = sorted(float(n) for n in n_schedule)
     if not levels or levels[0] <= 0.0:
         raise ValueError("localization levels must be positive")
     sigmas = _localization_times(f, levels).tolist()
     # every level whose sigma reaches the horizon stops f at the horizon: one
     # curve per distinct sigma
-    built = {}
+    built = {} if whole is None else {f.horizon: whole}
     for s in sigmas:
         if s not in built:
             built[s] = capital_process(step_approximation(_stopped_path(f, s), m_max), x)

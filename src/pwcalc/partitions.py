@@ -111,9 +111,7 @@ def _level_runs(path: SampledPath, d: float, offsets):
     vmax, vmin, v0 = float(v.max()), float(v.min()), float(v[0])
     start_on_grid, prev = [], []
     for r in offsets:
-        # level indices are exact floats, and fit in int64, below 2^53
-        if max(vmax - r, r - vmin) / d >= 2.0**53:
-            raise ValueError("path values lie 2^53 or more meshes from the grid offset")
+        _check_span(max(vmax - r, r - vmin) / d)
         j0 = round((v0 - r) / d)
         start_on_grid.append(j0 * d + r == v0)
         # the level of the offset's latest stop, if on the grid
@@ -128,14 +126,13 @@ def _level_runs(path: SampledPath, d: float, offsets):
     pieces = [[] for _ in offsets]
     # one row of cells per offset, one column per sample; the last column
     # starts no segment
-    cells = np.empty((4, group * (size + 1)))
-    per_seg = np.empty((4, group * size))
-    flags = np.empty((2, group * (size + 1)), dtype=bool)
+    cells = np.empty(group * (size + 1))
+    bufs = _sweep_buffers(cells.size)
     for g, b in itertools.product(range(0, len(offsets), group), range(0, n, size)):
         ks = range(g, min(len(offsets), g + group))
         rows, nb = len(ks), min(n, b + size) - b
         width = nb + 1
-        lo, hi, rise, cnt = (x[: rows * width] for x in cells)
+        lo = cells[: rows * width]
         for j, k in enumerate(ks):
             row, r = lo[j * width : (j + 1) * width], offsets[k]
             if r:
@@ -143,55 +140,11 @@ def _level_runs(path: SampledPath, d: float, offsets):
                 row /= d
             else:  # v - 0.0 is v, bit for bit: one pass fewer
                 np.divide(v[b : b + width], d, out=row)
-        np.ceil(lo, out=hi)
-        np.floor(lo, out=lo)
-        # a segment going up sweeps floor(a)+1 .. floor(b), going down
-        # ceil(a)-1 .. ceil(b)
-        np.subtract(lo[1:], lo[:-1], out=rise[:-1])
-        np.subtract(hi[:-1], hi[1:], out=cnt[:-1])
-        np.maximum(cnt[:-1], rise[:-1], out=cnt[:-1])
-        cnt[nb::width] = 0.0
-        crosses = flags[0][: rows * width]
-        np.greater(cnt, 0.0, out=crosses)
-        seg = np.flatnonzero(crosses)
-        if seg.size == 0:
+        block = _block_runs(lo, bufs, width, ks, prev, swept)
+        if block is None:
             continue
-        at = _row_bounds(seg, rows, width)
-        live = [j for j in range(rows) if at[j] < at[j + 1]]
-        c, step, first, last = (x[: seg.size] for x in per_seg)
-        up, again = (x[: seg.size] for x in flags)
-        np.take(cnt, seg, out=c, mode="clip")
-        np.take(rise, seg, out=step, mode="clip")
-        np.greater(step, 0.0, out=up)
-        np.take(lo, seg, out=first, mode="clip")
-        first += 1.0
-        np.take(hi, seg, out=last, mode="clip")
-        last -= 1.0
-        first -= last
-        first *= up
-        first += last
-        np.multiply(up, 2.0, out=step)
-        step -= 1.0
-        # at a reversal the first level swept is the level of the latest stop
-        np.subtract(c, 1.0, out=last)
-        last *= step
-        last += first
-        np.equal(first[1:], last[:-1], out=again[1:])
-        for j in live:
-            k = ks[j]
-            swept[k] += int(c[at[j] : at[j + 1]].sum())
-            if swept[k] > MAX_GRID_HITS:
-                raise ResourceLimitError(
-                    f"grid hit extraction would produce over {swept[k]:.3g} stops "
-                    f"(limit {MAX_GRID_HITS:g})"
-                )
-            again[at[j]] = prev[k] is not None and first[at[j]] == prev[k]
-            prev[k] = int(last[at[j + 1] - 1])
-        c -= again
-        np.multiply(again, step, out=last)
-        first += last
-        np.greater(c, 0.0, out=up)
-        keep = np.flatnonzero(up)
+        seg, c, first, step = block
+        keep = np.flatnonzero(c > 0.0)
         if keep.size == 0:
             continue
         seg = seg[keep]
@@ -204,6 +157,88 @@ def _level_runs(path: SampledPath, d: float, offsets):
                 seg[runs] += b - j * width
                 pieces[k].append((seg[runs], cnt[runs], first[runs], step[runs]))
     return start_on_grid, [_joined(p) for p in pieces]
+
+
+def _check_span(meshes: float) -> None:
+    """ValueError unless the path's values lie within meshes < 2^53 grid
+    meshes of the offset: level indices are exact floats, and fit in int64,
+    below 2^53."""
+    if meshes >= 2.0**53:
+        raise ValueError("path values lie 2^53 or more meshes from the grid offset")
+
+
+def _sweep_buffers(cells: int) -> tuple:
+    """The work buffers of _block_runs for blocks of up to cells cells."""
+    return np.empty((3, cells)), np.empty((4, cells)), np.empty((2, cells), dtype=bool)
+
+
+def _block_runs(lo: np.ndarray, bufs: tuple, width: int, ks, prev: list, swept: list):
+    """The level runs of one block of the grid sweep, the one place that
+    turns a path's values into runs.
+
+    lo holds the block's samples in grid units, (v - r) / d, one row of width
+    samples for each offset k of ks; the last sample of a row starts no
+    segment, and the next block of the same offset starts on it. lo is
+    overwritten. prev[k], the level of offset k's latest stop or None, and
+    swept[k], its running count of swept levels, are carried to the end of
+    the block; ResourceLimitError once a count passes MAX_GRID_HITS.
+
+    Returns None when no segment sweeps a level, else (seg, cnt, first,
+    step), in row order: run i hits the cnt[i] levels first[i],
+    first[i] + step[i], ... on the segment that starts at flat cell seg[i],
+    and a run whose only level was a re-touch of the level of the latest
+    stop has cnt 0. All but seg are views of bufs.
+    """
+    rows, nb = len(ks), width - 1
+    hi, rise, cnt = (x[: rows * width] for x in bufs[0])
+    np.ceil(lo, out=hi)
+    np.floor(lo, out=lo)
+    # a segment going up sweeps floor(a)+1 .. floor(b), going down
+    # ceil(a)-1 .. ceil(b)
+    np.subtract(lo[1:], lo[:-1], out=rise[:-1])
+    np.subtract(hi[:-1], hi[1:], out=cnt[:-1])
+    np.maximum(cnt[:-1], rise[:-1], out=cnt[:-1])
+    cnt[nb::width] = 0.0
+    crosses = bufs[2][0][: rows * width]
+    np.greater(cnt, 0.0, out=crosses)
+    seg = np.flatnonzero(crosses)
+    if seg.size == 0:
+        return None
+    at = _row_bounds(seg, rows, width)
+    live = [j for j in range(rows) if at[j] < at[j + 1]]
+    c, step, first, last = (x[: seg.size] for x in bufs[1])
+    up, again = (x[: seg.size] for x in bufs[2])
+    np.take(cnt, seg, out=c, mode="clip")
+    np.take(rise, seg, out=step, mode="clip")
+    np.greater(step, 0.0, out=up)
+    np.take(lo, seg, out=first, mode="clip")
+    first += 1.0
+    np.take(hi, seg, out=last, mode="clip")
+    last -= 1.0
+    first -= last
+    first *= up
+    first += last
+    np.multiply(up, 2.0, out=step)
+    step -= 1.0
+    # at a reversal the first level swept is the level of the latest stop
+    np.subtract(c, 1.0, out=last)
+    last *= step
+    last += first
+    np.equal(first[1:], last[:-1], out=again[1:])
+    for j in live:
+        k = ks[j]
+        swept[k] += int(c[at[j] : at[j + 1]].sum())
+        if swept[k] > MAX_GRID_HITS:
+            raise ResourceLimitError(
+                f"grid hit extraction would produce over {swept[k]:.3g} stops "
+                f"(limit {MAX_GRID_HITS:g})"
+            )
+        again[at[j]] = prev[k] is not None and first[at[j]] == prev[k]
+        prev[k] = int(last[at[j + 1] - 1])
+    c -= again
+    np.multiply(again, step, out=last)
+    first += last
+    return seg, c, first, step
 
 
 def _row_bounds(cells: np.ndarray, rows: int, width: int) -> list:

@@ -332,14 +332,58 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float, mesh: f
     original samples are kept exactly, and each touch is lev * mesh, exactly
     on its level, since a power-of-two mesh scales levels exactly.
     """
-    n = times.size - 1
+    bridge = _bridge_blocks(vals, config, dt, mesh)
+    if bridge is None:
+        return times, vals
+    leaves, blocks = bridge
+    bound = 3 * (times.size - 1) * leaves + 1
+    out_t, out_x = np.empty(bound), np.empty(bound)
+    k = 0
+    for u, s0, s1, P, at, hit, pair in blocks:
+        # Q[i*leaves + j]: time at fraction j/leaves of segment s0 + i
+        Q = np.empty(P.size)
+        Q[::leaves] = times[s0 : s1 + 1]
+        gap = leaves
+        while gap > 1:
+            Q[gap // 2 :: gap] = (Q[0:-1:gap] + Q[gap::gap]) * 0.5
+            gap >>= 1
+        size = u.size - 1
+        x, t = out_x[k : k + size], out_t[k : k + size]
+        x[at], t[at] = P[:-1], Q[:-1]
+        at = at[hit] + 1
+        x[at] = u[at] * mesh
+        t[at] = (pair * (1.0 / 3.0 - 0.5) + 0.5) * (Q[hit + 1] - Q[hit]) + Q[hit]
+        sub = np.flatnonzero(pair)
+        hit, at = hit[sub], at[sub] + 1
+        x[at] = u[at] * mesh
+        t[at] = (Q[hit + 1] - Q[hit]) * (2.0 / 3.0) + Q[hit]
+        k += size
+        # the next block is built without this one's arrays
+        del u, P, Q, at, hit, pair, sub
+    out_t[k], out_x[k] = times[-1], vals[-1]
+    # the member keeps only its own samples, not the bound's
+    out_t.resize(k + 1, refcheck=False)
+    out_x.resize(k + 1, refcheck=False)
+    return out_t, out_x
+
+
+def _bridge_blocks(vals, config: PathGeneratorConfig, dt: float, mesh: float):
+    """The Brownian bridges of _resolve_bridge between the samples vals, a
+    step dt apart, resolved on the grid mesh*Z: None where a leaf's variance
+    is 0, as such a bridge touches no level its chord does not hold, else
+    (leaves, blocks), each step cut into leaves leaves and blocks an
+    iterator over _bridge_block's blocks in time order.
+
+    Raises ResourceLimitError, before any block is built, where the resolved
+    member could pass MAX_SAMPLES samples: up to 3 per leaf.
+    """
+    n = vals.size - 1
     try:
         w0 = (config.volatility / mesh) ** 2 * dt
     except OverflowError:
         w0 = math.inf
     if w0 == 0.0:
-        # a leaf of variance 0 touches no level it does not already hold
-        return times, vals
+        return None
     # 2^depth leaves of variance at most _BRIDGE_LEAF per step; a depth whose
     # leaves alone pass the limit, an infinite one included, is never shifted
     depth = max(0, math.ceil(math.log2(w0 / _BRIDGE_LEAF))) if w0 < math.inf else math.inf
@@ -349,65 +393,73 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float, mesh: f
             f"(limit {MAX_SAMPLES:g} samples)"
         )
     leaves = 1 << depth
-    bound = 3 * n * leaves + 1
     scale = -2.0 * leaves / w0  # touch probability exponent per (L-a)(L-b) at a leaf
     sd = [0.5 * abs(config.volatility) * math.sqrt(dt / (1 << lv)) for lv in range(depth)]
     key = np.random.SeedSequence(config.seed, spawn_key=(1,)).generate_state(1)[0]
-    out_t, out_x = np.empty(bound), np.empty(bound)
-    k = 0
     per_block = max(1, _BRIDGE_BLOCK // leaves)
-    for s0 in range(0, n, per_block):
-        s1 = min(n, s0 + per_block)
-        nl = (s1 - s0) * leaves
-        seg_hash = _mix32(np.arange(s0, s1, dtype=np.uint32) * _H0 + key)
-        # P[i*leaves + j], Q[i*leaves + j]: value and time at fraction
-        # j/leaves of segment s0 + i
-        P, Q = np.empty(nl + 1), np.empty(nl + 1)
-        P[::leaves] = vals[s0 : s1 + 1]
-        Q[::leaves] = times[s0 : s1 + 1]
-        for lv in range(depth):
-            gap = leaves >> lv
-            z = _bridge_normals(seg_hash, lv)
-            P[gap // 2 :: gap] = z * sd[lv] + (P[0:-1:gap] + P[gap::gap]) * 0.5
-            Q[gap // 2 :: gap] = (Q[0:-1:gap] + Q[gap::gap]) * 0.5
-        # nearest levels above and below each leaf's chord, in grid units
-        U = P / mesh
-        a, b = U[:-1], U[1:]
-        A = np.floor(np.maximum(a, b)) + 1.0
-        B = np.ceil(np.minimum(a, b)) - 1.0
-        S, T = A - B, b - a
-        # one uniform per leaf picks a case from consecutive intervals of
-        # [0, 1): above then below, below then above, above only, below only;
-        # p_ud, p_two, p_up and p_one are their ends, "only" taking the rest
-        # of each touch probability
-        p_ud = _touch(S + T, S, scale)
-        p_two = _touch(S - T, S, scale)
-        p_two += p_ud
-        p_up = np.maximum(_touch(A - a, A - b, scale) - p_two, 0.0) + p_two
-        p_one = np.maximum(_touch(a - B, b - B, scale) - p_two, 0.0) + p_up
-        D = _node_hash(seg_hash, leaves, leaves) * 2.0**-32
-        one, two = D < p_one, D < p_two
-        first_up = (D < p_ud) | ((D >= p_two) & (D < p_up))
-        # each leaf start is followed by its touches: one at the leaf's
-        # midpoint time, two at its thirds
-        count = np.add(one, two, dtype=np.int64)
-        at = np.arange(k, k + nl) + np.cumsum(count) - count
-        out_x[at], out_t[at] = P[:-1], Q[:-1]
-        hit = np.flatnonzero(one)
-        at = at[hit] + 1
-        up, pair = first_up[hit], two[hit]
-        out_x[at] = (B[hit] + up * S[hit]) * mesh
-        out_t[at] = (pair * (1.0 / 3.0 - 0.5) + 0.5) * (Q[hit + 1] - Q[hit]) + Q[hit]
-        sub = np.flatnonzero(pair)
-        hit, at = hit[sub], at[sub] + 1
-        out_x[at] = (B[hit] + ~up[sub] * S[hit]) * mesh
-        out_t[at] = (Q[hit + 1] - Q[hit]) * (2.0 / 3.0) + Q[hit]
-        k += nl + int(count.sum())
-    out_t[k], out_x[k] = times[-1], vals[-1]
-    # the member keeps only its own samples, not the bound's
-    out_t.resize(k + 1, refcheck=False)
-    out_x.resize(k + 1, refcheck=False)
-    return out_t, out_x
+    blocks = (
+        _bridge_block(vals, s0, min(n, s0 + per_block), mesh, sd, scale, key)
+        for s0 in range(0, n, per_block)
+    )
+    return leaves, blocks
+
+
+def _bridge_block(vals, s0: int, s1: int, mesh: float, sd: list, scale: float, key):
+    """The resolved samples of segments s0 .. s1 - 1, with len(sd) tree
+    levels: (u, s0, s1, P, at, hit, pair).
+
+    u holds the block's resolved values in grid units, each leaf start
+    followed by its touches, and last the start of the next block, vals[s1],
+    so that the grid sweep can take u as it is. P holds the values of the
+    leaf starts and of that last sample, P[i*leaves + j] at fraction
+    j/leaves of segment s0 + i; leaf i starts at u[at[i]], and the leaves
+    hit touch once or, where pair holds, twice, right after their starts.
+    Leaf starts in u are P / mesh and touches their levels, which are their
+    values lev * mesh over mesh exactly wherever lev * mesh does not
+    overflow.
+    """
+    depth = len(sd)
+    leaves = 1 << depth
+    nl = (s1 - s0) * leaves
+    seg_hash = _mix32(np.arange(s0, s1, dtype=np.uint32) * _H0 + key)
+    P = np.empty(nl + 1)
+    P[::leaves] = vals[s0 : s1 + 1]
+    for lv in range(depth):
+        gap = leaves >> lv
+        z = _bridge_normals(seg_hash, lv)
+        P[gap // 2 :: gap] = z * sd[lv] + (P[0:-1:gap] + P[gap::gap]) * 0.5
+    # nearest levels above and below each leaf's chord, in grid units
+    U = P / mesh
+    a, b = U[:-1], U[1:]
+    A = np.floor(np.maximum(a, b)) + 1.0
+    B = np.ceil(np.minimum(a, b)) - 1.0
+    S, T = A - B, b - a
+    # one uniform per leaf picks a case from consecutive intervals of
+    # [0, 1): above then below, below then above, above only, below only;
+    # p_ud, p_two, p_up and p_one are their ends, "only" taking the rest
+    # of each touch probability
+    p_ud = _touch(S + T, S, scale)
+    p_two = _touch(S - T, S, scale)
+    p_two += p_ud
+    p_up = np.maximum(_touch(A - a, A - b, scale) - p_two, 0.0) + p_two
+    p_one = np.maximum(_touch(a - B, b - B, scale) - p_two, 0.0) + p_up
+    D = _node_hash(seg_hash, leaves, leaves) * 2.0**-32
+    one, two = D < p_one, D < p_two
+    first_up = (D < p_ud) | ((D >= p_two) & (D < p_up))
+    # each leaf start is followed by its touches: one at the leaf's
+    # midpoint time, two at its thirds
+    count = np.add(one, two, dtype=np.int64)
+    at = np.arange(nl) + np.cumsum(count) - count
+    u = np.empty(nl + int(count.sum()) + 1)
+    u[at], u[-1] = U[:-1], U[-1]
+    hit = np.flatnonzero(one)
+    up, pair = first_up[hit], two[hit]
+    touch = at[hit] + 1
+    u[touch] = B[hit] + up * S[hit]
+    sub = np.flatnonzero(pair)
+    second = hit[sub]
+    u[touch[sub] + 1] = B[second] + ~up[sub] * S[second]
+    return u, s0, s1, P, at, hit, pair
 
 
 def _touch(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:

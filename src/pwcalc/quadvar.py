@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import GridSpec, StoppingSequence, lebesgue_sequence, merge, verify_fine_cover
-from .partitions import _merge_stops, _stop_values
-from .paths import REL_TOL, SampledPath, _interp, evaluate_many
+from .partitions import _block_runs, _check_span, _merge_stops, _stop_values, _sweep_buffers
+from .paths import REL_TOL, PathGeneratorConfig, SampledPath, _bridge_blocks, _interp
+from .paths import evaluate_many
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,36 @@ def _terminal_qv(path: SampledPath, grid: GridSpec) -> float:
     """Simple QV of the path at its horizon along its level sequence on grid."""
     w = _stop_values(path, grid.mesh, grid.offset)
     return float(_qv_along(path, w, np.asarray([path.horizon]), np.asarray([w.size - 1]))[0])
+
+
+def _bridge_terminal_qv(chord: SampledPath, config: PathGeneratorConfig, level: int) -> float:
+    """_terminal_qv(generate(config, level), GridSpec(2^-level)), bitwise,
+    for chord = generate(config) of a wiener config and a level in [0, 1074],
+    without building the resolved member.
+
+    Each block of the bridge resolver goes to the grid sweep as it is made,
+    and of its runs only the count K of hits and the level L of the latest
+    stop are kept. X_0 = 0 lies on the grid d*Z, d = 2^-level, and every
+    later stop value is a level times d, exactly, so each squared increment
+    is d*d and _qv_along's cumulative sum of K of them is K * (d*d), exactly:
+    K < 2^53 times one power of two, or 0 where d*d underflows. The checks
+    and exceptions are those of generate and the sweep, with the 2^53 range
+    checked on each block as it comes.
+    """
+    d = 2.0**-level
+    bridge = _bridge_blocks(chord.values, config, config.horizon / config.segments, d)
+    if bridge is None:
+        return _terminal_qv(chord, GridSpec(d))
+    prev, swept, hits = [0], [0], 0
+    for u, *leaf_arrays in bridge[1]:
+        _check_span(max(u.max(), -u.min()))
+        runs = _block_runs(u, _sweep_buffers(u.size), u.size, range(1), prev, swept)
+        if runs is not None:
+            hits += int(runs[1].sum())
+        # the next block is built without this one's arrays
+        del u, leaf_arrays, runs
+    last = chord.values[-1] - prev[0] * d
+    return float(hits * (d * d) + last * last)
 
 
 def qcov_at(

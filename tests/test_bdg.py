@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -83,10 +84,13 @@ def test_bdg_constant():
     assert bdg.bdg_constant(2.0) == 36.0
     with pytest.raises(ValueError):
         bdg.bdg_constant(0.5)
-    # C_p overflows a float as a product at 120 and as a power at 500
-    for p in (120.0, 500.0):
-        with pytest.raises(ValueError, match=f"p = {p}"):
-            bdg.bdg_constant(p)
+    # C_p overflows a float as a product at 120 and as a power at 500; a
+    # numpy float is refused the same way, with no overflow warning first
+    for p in (120.0, 500.0, np.float64(120.0), np.float64(500.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"p = {float(p)}"):
+                bdg.bdg_constant(p)
 
 
 def test_certificate_p_requires_p_above_one():

@@ -208,11 +208,7 @@ def test_integral_converge_draws_each_member_once(monkeypatch):
     # the localisation check runs on member 0 as the ensemble hands it over
     seeds = []
     generate = harness.generate
-    monkeypatch.setattr(
-        harness,
-        "generate",
-        lambda g, bridge_level: seeds.append(g.seed) or generate(g, bridge_level),
-    )
+    monkeypatch.setattr(harness, "generate", lambda g: seeds.append(g.seed) or generate(g))
     rep = run(_tiny("integral-converge", ensemble_size=2, m_lo=4, m_hi=5))
     assert sorted(seeds) == [0, 1, 1_000_000_000, 1_000_000_001]
     assert [c.name for c in rep.checks][-1] == "localization-consistent"
@@ -233,6 +229,11 @@ def test_integral_converge_builds_g_once_per_member(monkeypatch):
     for i in (0, 1, 1_000_000_000, 1_000_000_001):
         x = harness._member(cfg, i).values.tobytes()
         assert built.count((x, cfg.integrand_level)) == 1
+    # member 0 reaches no localisation level, so its localised top curve is
+    # the integral's own
+    x = harness._member(cfg, 0)
+    assert float(np.max(np.abs(x.values))) < 1.0
+    assert built.count((x.values.tobytes(), cfg.integrand_level + 2)) == 1
 
 
 def test_qv_converge_member_holds_two_curves_at_a_time():
@@ -247,6 +248,25 @@ def test_qv_converge_member_holds_two_curves_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_isometry_mc_member_peak_memory_is_bounded():
+    # a preset member through the kernel, chord included, peaks at about
+    # 5.7 MB traced; generate(..., bridge_level=8) alone peaks at about 12.2 MB
+    cfg = default_config("isometry-mc")
+    g = harness._member_generator(cfg, 0)
+
+    def member():
+        return quadvar._bridge_terminal_qv(generate(g), g, cfg.m_hi)
+
+    member()  # warm-up: one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        member()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 @pytest.mark.parametrize("mesh, offset", [(2.0**-4, 0.0), (0.1, 0.03)])
@@ -583,22 +603,32 @@ def test_cli_bad_override_is_one_line_naming_it():
 
 
 def test_isometry_mc_resolves_wiener_members_on_its_check_level(monkeypatch):
-    # the members behind the check are resolved on 2^-m_hi; the oracle's,
-    # constant members and qv-converge's are chords
-    levels = []
-    generate = harness.generate
+    # the QV behind the check is that of each member resolved on 2^-m_hi;
+    # the oracle's, constant members and qv-converge's are chords
+    calls = []
+    generate, resolved = harness.generate, quadvar._bridge_terminal_qv
+
+    def resolve(x, g, level):
+        assert x.values.tobytes() == generate(g).values.tobytes()
+        calls.append((g.kind, g.seed, level))
+        return resolved(x, g, level)
+
     monkeypatch.setattr(
-        harness,
-        "generate",
-        lambda g, bridge_level: levels.append((g.kind, bridge_level)) or generate(g, bridge_level),
+        harness, "generate", lambda g: calls.append((g.kind, g.seed, None)) or generate(g)
     )
+    monkeypatch.setattr(quadvar, "_bridge_terminal_qv", resolve)
     run(_tiny("isometry-mc", ensemble_size=6, m_hi=4, oracle=True))
-    assert levels == [("wiener", 4)] * 6 + [("wiener", None)] * 5
-    levels.clear()
+    # each member's chord, then its resolved QV; then the oracle's 5 chords
+    members = [("wiener", i, level) for i in range(6) for level in (None, 4)]
+    oracle = [("wiener", i, None) for i in range(5)]
+    assert sorted(calls, key=str) == sorted(members + oracle, key=str)
+    calls.clear()
     gen = PathGeneratorConfig("constant", drift=0.3)
     run(ExperimentConfig("isometry-mc", gen, ensemble_size=2, m_hi=4))
     run(_tiny("qv-converge", ensemble_size=2, m_lo=2, m_hi=4))
-    assert levels == [("constant", None)] * 2 + [("wiener", None)] * 2
+    assert [(kind, level) for kind, _, level in calls] == (
+        [("constant", None)] * 2 + [("wiener", None)] * 2
+    )
 
 
 # the fields of ExperimentConfig each experiment reads, in EXPERIMENTS order

@@ -1,5 +1,9 @@
 """Quadratic variation and covariation curves with exact stop accounting."""
 
+import dataclasses
+import struct
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +26,10 @@ from pwcalc import (
     simple_qv,
     sup_distance,
 )
-from pwcalc.paths import _interp
+from pwcalc import partitions, paths
+from pwcalc.paths import ResourceLimitError, _interp
 from pwcalc.partitions import _merge_stops
-from pwcalc.quadvar import _qcov_along, _sup_gaps, qcov_at
+from pwcalc.quadvar import _bridge_terminal_qv, _qcov_along, _sup_gaps, _terminal_qv, qcov_at
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 LINE01 = SampledPath(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]))
@@ -209,3 +214,98 @@ def test_sup_gaps_are_bitwise_the_replaced_forms(seed, na, nb):
     ref = np.asarray([_sup_gap_upto_reference(a, b, t) for t in ts])
     assert sups.tobytes() == ref.tobytes()
     assert np.float64(sup_distance(a, b)).tobytes() == sups[-1].tobytes()
+
+
+# (step, horizon, level, volatility, drift) of wiener members resolved on
+# 2^-level: 1 to 32 leaves per step and 1 to 16 blocks
+_BRIDGE_CASES = [
+    (2.0**-4, 1.0, 3, 1.0, 0.0),
+    (2.0**-6, 2.5, 0, 1.0, 0.3),
+    (2.0**-8, 1.0, 3, 0.7, -1.0),
+    (2.0**-10, 0.75, 8, 2.0, 0.0),
+    (2.0**-12, 1.0, 8, -1.0, 0.3),
+    (2.0**-16, 1.0, 8, 1.0, 0.0),
+    # volatility 0: the chord is the member
+    (2.0**-8, 1.0, 5, 0.0, 0.3),
+    # d*d subnormal, and d*d underflowing to 0; values within 2^53 meshes
+    (2.0**-10, 1.0, 520, 2.0**-515, 0.0),
+    (2.0**-6, 1.0, 540, 2.0**-535, 0.0),
+]
+
+
+def _bits(x) -> bytes:
+    return struct.pack("d", x)
+
+
+def _resolved_pair(cfg, level):
+    """(X_T - X_0)^2 and the terminal QV of the member resolved on 2^-level."""
+    x = generate(cfg, level)
+    return _bits((x.values[-1] - x.values[0]) ** 2), _bits(_terminal_qv(x, GridSpec(2.0**-level)))
+
+
+def _kernel_pair(cfg, level):
+    """_resolved_pair from the chord, through the kernel."""
+    x = generate(cfg)
+    return _bits((x.values[-1] - x.values[0]) ** 2), _bits(_bridge_terminal_qv(x, cfg, level))
+
+
+def _bridge_configs(cases, seeds=(0, 1)):
+    for step, horizon, level, vol, drift in cases:
+        for seed in seeds:
+            cfg = PathGeneratorConfig(
+                "wiener", horizon=horizon, step=step, seed=seed, volatility=vol, drift=drift
+            )
+            yield cfg, level
+
+
+def test_bridge_terminal_qv_is_bitwise_the_resolved_member():
+    assert 0.0 < (2.0**-520) ** 2 < sys.float_info.min and (2.0**-540) ** 2 == 0.0
+    moved = 0
+    for cfg, level in _bridge_configs(_BRIDGE_CASES):
+        want = _resolved_pair(cfg, level)
+        assert _kernel_pair(cfg, level) == want
+        moved += struct.unpack("d", want[1])[0] > 0.0
+    assert moved >= len(_BRIDGE_CASES) * 2 - 2  # only d*d = 0 reads 0
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_bridge_terminal_qv_does_not_depend_on_the_blocks(monkeypatch, block):
+    # 1 to 8 leaves per step, so a block of one segment holds several leaves
+    cases = [(2.0**-6, 1.0, 3, 1.0, 0.3), (2.0**-8, 1.0, 5, 0.7, 0.0), (2.0**-5, 1.5, 4, 2.0, 0.0)]
+    want = [_kernel_pair(cfg, level) for cfg, level in _bridge_configs(cases)]
+    monkeypatch.setattr(paths, "_BRIDGE_BLOCK", block)
+    monkeypatch.setattr(partitions, "_BLOCK", block)
+    for (cfg, level), pair in zip(_bridge_configs(cases), want):
+        assert _kernel_pair(cfg, level) == pair
+        assert _resolved_pair(cfg, level) == pair
+
+
+def _raised(fn):
+    """The type and message of what fn raises, or None."""
+    try:
+        fn()
+    except (ResourceLimitError, ValueError) as exc:
+        return type(exc), str(exc).split(" ")[:4]
+    return None
+
+
+def test_bridge_terminal_qv_refuses_as_generate_and_the_sweep(monkeypatch):
+    def both(cfg, level):
+        want = _raised(lambda: _resolved_pair(cfg, level))
+        assert want is not None and _raised(lambda: _kernel_pair(cfg, level)) == want
+        return want[0]
+
+    # 2^9 leaves on each of 2^8 steps pass the sample bound
+    assert both(PathGeneratorConfig("wiener", step=2.0**-8), 12) is ResourceLimitError
+    # values 2^60 meshes from the grid
+    far = PathGeneratorConfig("wiener", step=2.0**-4, volatility=2.0**-20, drift=2.0**40)
+    assert both(far, 20) is ValueError
+    cfg = PathGeneratorConfig("wiener", step=2.0**-8, seed=3)
+    with monkeypatch.context() as patch:
+        # 8 leaves on each of 2^8 steps
+        patch.setattr(paths, "MAX_SAMPLES", 2**12)
+        assert both(cfg, 5) is ResourceLimitError
+    with monkeypatch.context() as patch:
+        patch.setattr(partitions, "MAX_GRID_HITS", 10)
+        assert both(cfg, 5) is ResourceLimitError
+        assert both(dataclasses.replace(cfg, volatility=0.0, drift=1.0), 5) is ResourceLimitError

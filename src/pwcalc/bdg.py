@@ -178,7 +178,8 @@ def _fg(p: float, s: DiscreteSequence) -> tuple[np.ndarray, np.ndarray]:
     scratch rows of max(CELLS, K) floats, and only the rows x rows triangle
     l > k inside the block is masked. Each cell holds the same float as in
     the masked form e = where(l <= k and den > 0, numer / den, 0), and each
-    block is one (rows, k1) matrix for the two products.
+    block is one (rows, k1) matrix for the two products: O(rows * K) memory
+    and O(K^2) time.
     """
     x, br = s.x, s.bracket
     n = x.size
@@ -239,7 +240,8 @@ _rows = threading.local()
 def _weight_rows(n: int) -> np.ndarray:
     """_fg's three scratch rows of at least n floats, kept per thread between
     calls: a call then holds only its O(K) outputs beyond them (the peak
-    test_certificate_p_memory_stays_bounded pins). _fg overwrites what it
+    test_certificate_p_memory_stays_bounded pins). They are the only buffers
+    a kernel of the package keeps between calls. _fg overwrites what it
     reads, so no result depends on what an earlier call left behind."""
     rows = getattr(_rows, "fg", None)
     if rows is None or rows.shape[1] < n:
@@ -285,7 +287,7 @@ def certify_path(path: SampledPath, seq: StoppingSequence, p: float = 1.0) -> Bd
 
 def _terminal_sequence(path: SampledPath, grid: GridSpec) -> DiscreteSequence:
     """X(tau_n) - X_0 at the stops of the path's level sequence on grid,
-    closed by X_T - X_0."""
+    closed by X_T - X_0: bdg-mc's sequence."""
     w = _stop_values(path, grid.mesh, grid.offset)
     w -= w[0]
     return DiscreteSequence(np.append(w, path.values[-1] - path.values[0]))

@@ -3,31 +3,24 @@
     pwcalc <experiment> [--config file.json] [--seed N] [--out DIR]
                         [--strict-mc] [--oracle]
 
-Without --config the experiment runs with its preset configuration.
---seed sets the experiment's one seed: member i is the generator at
-seed + i, so a generator seed in a config file is replaced by the config's
-seed. isometry-mc joins the samples of its wiener members by Brownian
-bridges, resolved on its check grid 2^-m_hi; no config field sets this.
+Without --config the experiment runs with its preset configuration; a config
+file is an ExperimentConfig JSON document, versioned by schema_version
+(ExperimentConfig.to_json_dict writes one). --seed sets the experiment's one
+seed: member i is the generator at seed + i, so a generator seed in a config
+file is replaced by the config's seed. The overrides are applied at once.
+isometry-mc joins the samples of its wiener members by Brownian bridges,
+resolved on its check grid 2^-m_hi; no config field sets this.
 
-Each experiment reads some of the nine experiment fields of a config:
+`pwcalc <experiment> --help` names the fields of the config the experiment
+reads, from harness's experiment table. A config that sets any other
+experiment field to a value other than its default is refused. A config file
+that cannot be read, is malformed or is refused, and an override that is out
+of range, stop the command with one line naming the file or the override. A
+run that would pass a resource limit, such as the stops a grid may yield,
+stops it with one line naming the experiment and the limit.
 
-    bdg-certify        p_list
-    qv-converge        m_lo, m_hi
-    ttv-converge       c_exponents, est_level
-    sandwich           m_lo, m_hi, threshold
-    isometry-mc        m_hi
-    bdg-mc             p_list
-    integral-converge  m_lo, m_hi, integrand_level
-    distance-rates     m_lo, m_hi, n_levels, qv_level
-
-A config that sets any other of the nine to a value other than its default
-is refused. A config file that cannot be read, is malformed or is refused,
-and an override that is out of range, stop the command with one line naming
-the file or the override. A run that would pass a resource limit, such as
-the stops a grid may yield, stops it with one line naming the experiment and
-the limit.
-
-Exit status is nonzero when any pathwise check fails; --strict-mc
+--out DIR writes report.json, run_metadata.json and one CSV per result
+table. Exit status is nonzero when any pathwise check fails; --strict-mc
 promotes statistical warnings to failures as well.
 """
 
@@ -38,7 +31,7 @@ import dataclasses
 import json
 import sys
 
-from .harness import EXPERIMENTS, ExperimentConfig, default_config, run
+from .harness import _EXPERIMENT_TABLE, ExperimentConfig, default_config, run
 from .paths import ResourceLimitError
 
 
@@ -59,8 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="pathwise stochastic calculus experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    for name, row in _EXPERIMENT_TABLE.items():
+        p = sub.add_parser(
+            name,
+            help=f"run the {name} experiment",
+            description=f"Run the {name} experiment. It reads the config fields "
+            f"{', '.join(row.reads)}; a config that sets another experiment field "
+            "off its default is refused.",
+        )
         p.add_argument("--config", help="JSON config file; preset used if omitted")
         # an override is stored under its field, and only when it is given
         for field, (option, settings) in _OPTIONS.items():

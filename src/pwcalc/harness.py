@@ -7,6 +7,9 @@ base_seed + i), computes its tables, and scores two kinds of checks:
   statistical  ensemble means or medians against tolerance or 3-SE bands;
                warnings by default, failures under strict mode
 
+Experiments only compose the kernels of the other modules; none reads a
+stop value, a merge index or a strategy position itself.
+
 Reports are byte-identical across runs for a fixed config and seed;
 timestamps live in a separate metadata file next to report.json.
 """
@@ -104,11 +107,13 @@ def tree_mean(values) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's settings. seed is the experiment's one seed: building
-    the config sets its generator's seed to it, and member i is the generator
-    at seed + i. Of _EXPERIMENT_FIELDS, the fields some _EXPERIMENT_TABLE row
-    reads, each experiment reads those its row names. A value other than the
-    default in any other is refused: it would change the report's echo and
-    not its tables. Values are checked when the config is built: the levels
+    the config sets its generator's seed to it, so dataclasses.replace(cfg,
+    seed=s) needs no second edit and a report echoes the seed its members
+    used; member i is the generator at seed + i. Of _EXPERIMENT_FIELDS, the
+    fields some _EXPERIMENT_TABLE row reads, each experiment reads those its
+    row names, and a list field it reads must not be empty. A value other
+    than the default in any other is refused: it would change the report's
+    echo and not its tables. Values are checked when the config is built: the levels
     against the range where 2^-level is a positive float, n_levels in
     [1, 1074], and each p in p_list by bdg.bdg_constant, which refuses a p
     whose C_p is no finite float."""

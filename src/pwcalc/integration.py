@@ -46,7 +46,8 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepProcess:
-    """Right-continuous step function holding values[n] on [tau_n, tau_{n+1})."""
+    """Right-continuous step function holding values[n] on [tau_n, tau_{n+1}):
+    the one type of integrands and simple strategies."""
 
     seq: StoppingSequence
     values: np.ndarray
@@ -200,6 +201,7 @@ def stieltjes_integral(g: StepProcess, v: SampledPath, t: float | None = None) -
 
     Exact, on a mesh of every stop of g and stamp of v. The integrator must
     have finite variation; a blowup guard rejects oscillation sums past 1e12.
+    Any other integrand is a TypeError.
     """
     if not isinstance(g, StepProcess):
         raise TypeError("integrand must be a StepProcess")
@@ -299,7 +301,10 @@ def _mean_report(per_path: np.ndarray, reference_mean=None) -> EmpiricalDistance
 
 
 def _localization_times(x: SampledPath, levels) -> np.ndarray:
-    """T_N = sigma(x, N) ^ horizon for each level N, non-decreasing in N."""
+    """T_N = sigma(x, N) ^ horizon for each level N, non-decreasing in N,
+    from one exit-time solve: localized_integral, empirical_dqv and
+    empirical_dinf take all of a path's localization times from one call,
+    and each window is the prefix [0, T_N]."""
     return np.minimum(_exit_times(x, levels), x.horizon)
 
 

@@ -78,7 +78,11 @@ def _merge_stops(times: np.ndarray, stops: np.ndarray):
     """np.union1d(times, stops) and, at each of its values, the index of the
     last stop at or before it, for sorted times and non-decreasing stops,
     from one stable merge of the two runs (a stable sort merges presorted
-    runs in linear time, where searchsorted would search for every value)."""
+    runs in linear time, where searchsorted would search for every value).
+
+    The one stamp merge: every qv, covariation and capital curve, the
+    product step and the left-point meshes take their stamps from it.
+    qv_at and qcov_at take unsorted times, so they search instead."""
     both = np.concatenate((stops, times))
     order = np.argsort(both, kind="stable")
     merged = both[order]
@@ -106,6 +110,7 @@ def _level_runs(path: SampledPath, d: float, offsets):
     segments, and the block buffers are allocated once per call. The limit
     MAX_GRID_HITS is read as the sweep runs and checked per offset, on its
     running count of swept levels, so it trips before any reader expands a hit.
+    Its readers are _grid_hits, _stop_values and _transition_counts.
     """
     v, offsets = path.values, list(offsets)
     vmax, vmin, v0 = float(v.max()), float(v.min()), float(v[0])
@@ -295,7 +300,8 @@ def _hit_times(path: SampledPath, seg, own, lev, d: float, r: float) -> np.ndarr
 
 
 def _grid_hits(path: SampledPath, d: float, r: float):
-    """All successive different-level grid hits of the path, in time order.
+    """All successive different-level grid hits of the path, in time order:
+    the runs expanded, then their hit times solved. _level_sequence reads it.
 
     Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
     indices, hit value = level * d + r. hit_times excludes time 0.
@@ -307,14 +313,16 @@ def _grid_hits(path: SampledPath, d: float, r: float):
 
 def _stop_values(path: SampledPath, d: float, r: float) -> np.ndarray:
     """The values of the level sequence on d*Z + r, bitwise
-    lebesgue_sequence(...).values, without solving a hit time."""
+    lebesgue_sequence(...).values, without solving a hit time; for
+    quadvar._terminal_qv and bdg._terminal_sequence."""
     _, ((_, cnt, first, step),) = _level_runs(path, d, [r])
     return _snap(path, _run_levels(cnt, first, step)[1], d, r)
 
 
 def _snap(path: SampledPath, lev: np.ndarray, d: float, r: float) -> np.ndarray:
     """Stop values: the raw X_0, then each grid level of lev snapped to
-    lev * d + r."""
+    lev * d + r. The one stop-value rule, for _level_sequence and
+    _stop_values."""
     values = np.empty(lev.size + 1)
     values[0] = path.values[0]
     np.multiply(lev, d, out=values[1:])
@@ -324,7 +332,8 @@ def _snap(path: SampledPath, lev: np.ndarray, d: float, r: float) -> np.ndarray:
 
 def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None = None):
     """truncvar.transition_count on the grid mesh*Z + r for each r of
-    offsets, from one sweep of the path.
+    offsets, from one sweep of the path. transition_count is its one-offset
+    case, and truncvar.sandwich_check counts each shifted family in one call.
 
     A run of level hits on a segment that ends by t counts whole, and one on
     a segment that starts after t not at all. Only the run on the segment
@@ -356,7 +365,9 @@ def lebesgue_sequence(path: SampledPath, grid: GridSpec) -> StoppingSequence:
 
 
 def _level_sequence(path: SampledPath, d: float, r: float):
-    """Stops at 0 and at each grid hit of the path on d*Z + r, values snapped."""
+    """Stops at 0 and at each grid hit of the path on d*Z + r, values
+    snapped. The one level-sequence constructor: lebesgue_sequence and
+    integration.step_approximation build theirs here."""
     ts, lev, _ = _grid_hits(path, d, r)
     return StoppingSequence(np.concatenate(([0.0], ts)), _snap(path, lev, d, r), path.horizon)
 

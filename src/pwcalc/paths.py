@@ -41,10 +41,13 @@ def _frozen(a, what: str) -> tuple[np.ndarray, np.ndarray]:
     """a as a finite 1-d float64 array that no one can write through, and a
     writeable view of the same memory for readers that copy read-only input.
 
-    An array the caller passes is frozen where it lies, so the caller's own
-    handle to it turns read-only as well. An input that is already read-only
-    (another value's array, or a view whose base someone may still write) is
-    copied first, and so is a strided one, which np.interp would copy.
+    The one ownership rule for every array a value holds: SampledPath,
+    partitions.StoppingSequence, integration.StepProcess and
+    bdg.DiscreteSequence take their arrays through it. An array the caller
+    passes is frozen where it lies, so the caller's own handle to it turns
+    read-only as well. An input that is already read-only (another value's
+    array, or a view whose base someone may still write) is copied first,
+    and so is a strided one, which np.interp would copy.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1:
@@ -120,9 +123,11 @@ def hitting_time_abs(path: SampledPath, threshold: float) -> float:
 def _exit_times(path: SampledPath, levels) -> np.ndarray:
     """sigma(X, N) = inf{t : |X_t| >= N} for each level N, or INFINITE_TIME.
 
-    The first sample k at or past a level is found on the running max of
-    |X|; the sample before it is below the level, so the crossing is the
-    one solve of X = +-N, the sign of X at k, on segment [k-1, k].
+    The one exit-time kernel: it solves every level a caller needs in one
+    pass, and hitting_time_abs is its one-level case. The first sample k at
+    or past a level is found on the running max of |X|; the sample before it
+    is below the level, so the crossing is the one solve of X = +-N, the
+    sign of X at k, on segment [k-1, k].
     """
     levels = np.asarray(levels, dtype=np.float64)
     if not np.all(levels > 0.0):
@@ -151,6 +156,10 @@ class PathGeneratorConfig:
       sine          volatility * sin(2*pi*f*t), f = drift (or 1 when drift is 0)
       custom-seeded seeded mixture of increment laws (heavy and light tails,
                     flat stretches), variance volatility^2*dt per step
+
+    A config is refused when it is built if horizon or step is not positive
+    and finite, step passes horizon, horizon / step overflows, volatility or
+    drift is not finite, or seed is negative.
     """
 
     kind: str
@@ -240,13 +249,25 @@ def generate(config: PathGeneratorConfig, bridge_level: int | None = None) -> Sa
     """Deterministic path from config; same config and seed, same floats.
 
     bridge_level: an int m in [-1023, 1074], wiener only, so that the mesh
-      2^-m is a finite nonzero float. The samples are then joined by Brownian
-      bridges instead of chords, resolved finely enough that the member's
-      level sequence on the grid 2^-m Z, and on every coarser dyadic grid at
-      offset 0, is that of a Brownian path through the same samples (see
-      _resolve_bridge). None keeps the chord path through the samples.
+      2^-m is a finite nonzero float; no config field sets it. The samples
+      are then joined by Brownian bridges instead of chords, resolved on the
+      grid 2^-m Z (see _resolve_bridge). The member's level sequences there,
+      and on every coarser dyadic grid at offset 0, come close to those of a
+      Brownian path through the same samples, but not exactly: over the 10^4
+      members of the isometry-mc preset (step 2^-16, m = 8) the mean QV on
+      2^-8 is 0.995078 of volatility^2 * horizon, SE 3.2e-5, about 156 SE
+      low. ROADMAP.md item 12 plans a check of this gap and item 5 a sampler
+      that closes it. At m = -1023 the leaf variance underflows to 0 and the
+      chord samples are kept; at m = 1074 it overflows and the member passes
+      MAX_SAMPLES. None keeps the chord path through the samples.
 
-    Raises ResourceLimitError for a member of more than MAX_SAMPLES samples.
+      No code in the package passes a bridge level. isometry-mc, the one
+      experiment that resolves members, takes each member's QV from
+      quadvar._bridge_terminal_qv without building the member; tests use
+      this form as that kernel's reference.
+
+    Raises ResourceLimitError, before the member's samples are allocated, for
+    a member of more than MAX_SAMPLES samples, chord or resolved.
     """
     if bridge_level is not None:
         if config.kind != "wiener":
@@ -300,7 +321,8 @@ def generate(config: PathGeneratorConfig, bridge_level: int | None = None) -> Sa
 
 def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float, mesh: float):
     """Samples of a Brownian path through (times, vals), resolved on the grid
-    mesh*Z, mesh a power of two.
+    mesh*Z, mesh a power of two, by the reflection principle (Glasserman
+    2004, Monte Carlo Methods in Financial Engineering, section 6.4).
 
     Between two samples Brownian motion is a Brownian bridge. Each segment
     is cut by Levy midpoints, (a+b)/2 + vol*sqrt(h)/2 * Z, into 2^D leaves of
@@ -322,15 +344,18 @@ def _resolve_bridge(times, vals, config: PathGeneratorConfig, dt: float, mesh: f
     at the leaf's midpoint time or two at its thirds, so the grid sweep
     counts them; a re-touch of the current level needs no care, level
     sequences drop it. At step 2^-16 and mesh 2^-8 this gives a mean QV of
-    0.994 of the horizon with 3.1 times the samples. One touch at most per
-    leaf gives 0.967 at these leaves and needs leaves of mesh^2/4, and 5.6
-    times the samples, for 0.996.
+    about 0.995 of the horizon (generate gives the measured figure) with 3.1
+    times the samples. One touch at most per leaf gives 0.967 at these
+    leaves and needs leaves of mesh^2/4, and 5.6 times the samples, for
+    0.996.
 
     Each normal and uniform is a counter-based hash of (member key, segment,
     heap index of the tree node), so the resolved member does not depend on
     the thread count, and on a finer grid the same midpoints reappear. The
     original samples are kept exactly, and each touch is lev * mesh, exactly
-    on its level, since a power-of-two mesh scales levels exactly.
+    on its level, since a power-of-two mesh scales levels exactly. The
+    samples go into two buffers sized to the bound of 3 samples per leaf,
+    shrunk to the member's samples before they are returned.
     """
     bridge = _bridge_blocks(vals, config, dt, mesh)
     if bridge is None:
@@ -484,9 +509,15 @@ def _retain_freed_memory() -> None:
     dropped once or more per member. By default glibc
     maps such a block in on its own and unmaps it when it is freed, or trims
     the heap top back to the kernel, so the next member faults every page in
-    again (about 64k minor faults per grid-qv bench pass at one thread). With
-    blocks up to 32 MiB taken from the heap, and the heap trimmed only past
-    64 MiB of free top, freed pages are reused instead. No arithmetic changes.
+    again (about 64k minor faults per grid-qv bench pass at one thread, about
+    1 with this). With blocks up to 32 MiB taken from the heap, and the heap
+    trimmed only past 64 MiB of free top, freed pages are reused instead. No
+    arithmetic changes.
+
+    This is the package's one memory rule: kernels make fresh arrays and,
+    but for bdg's weight rows, keep no buffers between calls. So the bridge
+    resolver's per-block step, _bridge_block, makes its leaf quantities from
+    plain numpy expressions, with no buffer bank or scratch arguments.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -64,7 +64,9 @@ def _qv_along(path: SampledPath, w: np.ndarray, ts: np.ndarray, idx: np.ndarray)
 
 
 def _terminal_qv(path: SampledPath, grid: GridSpec) -> float:
-    """Simple QV of the path at its horizon along its level sequence on grid."""
+    """Simple QV of the path at its horizon along its level sequence on grid,
+    from the stop values alone; for ttv-converge's reference and
+    isometry-mc's non-wiener members."""
     w = _stop_values(path, grid.mesh, grid.offset)
     return float(_qv_along(path, w, np.asarray([path.horizon]), np.asarray([w.size - 1]))[0])
 
@@ -72,7 +74,8 @@ def _terminal_qv(path: SampledPath, grid: GridSpec) -> float:
 def _bridge_terminal_qv(chord: SampledPath, config: PathGeneratorConfig, level: int) -> float:
     """_terminal_qv(generate(config, level), GridSpec(2^-level)), bitwise,
     for chord = generate(config) of a wiener config and a level in [0, 1074],
-    without building the resolved member.
+    without building the resolved member: no resolved time, hit array or
+    buffer of 3 samples per leaf is made.
 
     Each block of the bridge resolver goes to the grid sweep as it is made,
     and of its runs only the count K of hits and the level L of the latest
@@ -182,7 +185,9 @@ def sup_distance(a: SampledPath, b: SampledPath) -> float:
 
 
 def _sup_gaps(a: SampledPath, b: SampledPath, ts) -> np.ndarray:
-    """sup |a - b| over [0, t] for each t of the non-decreasing ts.
+    """sup |a - b| over [0, t] for each t of the non-decreasing ts: the one
+    sup-gap kernel, behind sup_distance, the consistency gaps of the
+    localized integrals and integration.empirical_dinf.
 
     A curve takes its own values at its own stamps, so the sup over the
     union of stamps up to t is the larger of the sups over each curve's

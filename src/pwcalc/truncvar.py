@@ -5,7 +5,8 @@ The c-truncated total variation of a path over [0, t] is
     ttv(c, [0, t]) = sup over partitions of sum_i max(|dx_i| - c, 0),
 
 the supremum over finite increasing time partitions of the window. Every
-window is such a prefix, as every localization in the paper is. For a
+window is such a prefix, as every localization in the paper is; the oracle
+and the crossing functions read the whole path. For a
 piecewise-linear path the supremum is attained on a subset of the sample
 times plus the interpolated value at t, which makes both the O(n^2)
 reference and the O(n) single pass exact.
@@ -122,7 +123,8 @@ def _ttv_batch(values: np.ndarray, c) -> np.ndarray:
     ufunc calls on contiguous operands: m_plus - x_i is m_plus + (-x_i) and
     v_i + x_i is v_i - (-x_i) exactly, so one add and one subtract serve
     both halves. Columns are staged STAGE_CELLS // width at a time, at
-    least one, never the matrix.
+    least one, never the matrix. ttv-converge takes every member's ttv(c)
+    from one call.
     """
     x = np.asarray(values, dtype=np.float64)
     cs = np.asarray(c, dtype=np.float64)
@@ -268,7 +270,8 @@ def sandwich_check(
 
     Returns one report per m of ms, in order. The stopped time t_eff does not
     depend on m, and the family n serves both m = n + 1 and m = n - 1, so
-    each distinct family is summed once.
+    each distinct family is summed once, in one sweep: 8 sweeps a path for
+    m = 3..8.
     """
     ms = list(ms)
     if any(m < 3 for m in ms):

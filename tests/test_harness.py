@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import pathlib
 import struct
 import tracemalloc
 
@@ -22,6 +23,8 @@ from pwcalc.harness import (
     tree_mean,
     tree_sum,
 )
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _tiny(experiment, **kw):
@@ -674,13 +677,25 @@ def test_one_row_per_experiment_names_the_fields_it_reads():
     )
 
 
-def test_cli_docstring_table_is_the_experiment_table():
-    # cli's docstring copies the fields each experiment reads, one line each
-    lines = cli.__doc__.split("Each experiment reads some")[1].split("\n\n")[1].splitlines()
-    documented = dict(line.split(maxsplit=1) for line in lines)
-    assert list(documented) == list(EXPERIMENTS)
+def test_help_and_readme_name_the_fields_each_experiment_reads(capsys):
+    # `pwcalc <experiment> --help` builds its field list from the table, and
+    # README's CLI table copies it, one row per experiment in table order
     table = harness._EXPERIMENT_TABLE
-    assert documented == {name: ", ".join(row.reads) for name, row in table.items()}
+    documented = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in table:
+            documented[cells[0].strip("`")] = cells[1]
+    assert list(documented) == list(EXPERIMENTS)
+    assert documented == {
+        name: ", ".join(f"`{field}`" for field in row.reads) for name, row in table.items()
+    }
+    for name, row in table.items():
+        with pytest.raises(SystemExit) as done:
+            cli.main([name, "--help"])
+        assert done.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        assert f"It reads the config fields {', '.join(row.reads)};" in shown
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Import hygiene: every module uses what it imports; the package exports resolve;
-private code has a caller."""
+private code has a caller; README's index names real objects."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -10,6 +12,9 @@ import pwcalc
 
 SRC = pathlib.Path(pwcalc.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# longest line of README's module table
+MAX_ROW = 300
 
 
 def _imported(tree):
@@ -93,3 +98,53 @@ def test_every_private_function_has_a_caller():
         if not any(stmt.name in names for _, other, names in refs if other is not stmt)
     ]
     assert not orphans, f"private code no one calls: {', '.join(orphans)}"
+
+
+def _resolves(name: str) -> bool:
+    """Whether a dotted name, pwcalc.<module>.<attr>... or <module>.<attr>...,
+    names an object of the package."""
+    module, *attrs = name.removeprefix("pwcalc.").split(".")
+    try:
+        obj = importlib.import_module(f"pwcalc.{module}")
+    except ModuleNotFoundError:
+        return False
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _index_faults(text: str) -> list:
+    """What README's text gets wrong as an index of the package: a backticked
+    dotted name that names nothing, a backticked name in a module row that
+    its module lacks, a module row longer than MAX_ROW characters, and a
+    module that has no row."""
+    modules = "|".join(p.stem for p in MODULES)
+    dotted = re.compile(rf"(?<![\w./])(?:pwcalc(?:\.\w+)+|(?:{modules})(?:\.\w+)+)")
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    faults = [
+        f"`{name}` names nothing"
+        for span in re.findall(r"`([^`]+)`", prose)
+        for name in dotted.findall(span)
+        if not _resolves(name)
+    ]
+    rows = set()
+    for line in text.split("\n## Modules\n")[1].split("\n## ")[0].splitlines():
+        row = re.match(rf"\| `pwcalc\.({modules})` +\|", line)
+        if row is None:
+            continue
+        rows.add(row[1])
+        if len(line) > MAX_ROW:
+            faults.append(f"the {row[1]} row has {len(line)} characters")
+        faults += [
+            f"`{name}` is not in pwcalc.{row[1]}"
+            for name in re.findall(r"`(\w+)`", line[row.end():])
+            if not _resolves(f"{row[1]}.{name}")
+        ]
+    faults += [f"no row for pwcalc.{p.stem}" for p in MODULES if p.stem not in rows]
+    return faults
+
+
+def test_readme_indexes_real_objects():
+    assert _index_faults(README.read_text()) == []

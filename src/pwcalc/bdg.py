@@ -285,9 +285,13 @@ def certify_path(path: SampledPath, seq: StoppingSequence, p: float = 1.0) -> Bd
     return certificate_p1(s) if p == 1.0 else certificate_p(s, p)
 
 
-def _terminal_sequence(path: SampledPath, grid: GridSpec) -> DiscreteSequence:
-    """X(tau_n) - X_0 at the stops of the path's level sequence on grid,
-    closed by X_T - X_0: bdg-mc's sequence."""
-    w = _stop_values(path, grid.mesh, grid.offset)
-    w -= w[0]
-    return DiscreteSequence(np.append(w, path.values[-1] - path.values[0]))
+def _terminal_sequence(samples, grid: GridSpec) -> list:
+    """For each path whose samples are a row of samples, X(tau_n) - X_0 at
+    the stops of its level sequence on grid, closed by X_T - X_0: bdg-mc's
+    sequences, from one sweep of the stack."""
+    samples = list(samples)
+    out = []
+    for v, w in zip(samples, _stop_values(samples, grid.mesh, grid.offset)):
+        w -= w[0]
+        out.append(DiscreteSequence(np.append(w, v[-1] - v[0])))
+    return out

@@ -254,7 +254,8 @@ def _ensemble_workers(cfg: ExperimentConfig) -> int:
     """Pool size of cfg's ensemble, whose members each reach
     cfg.generator.segments samples: 1 below PARALLEL_MIN_SAMPLES, else one
     worker per member and per CPU the process may run on, up to
-    PWCALC_THREADS."""
+    PWCALC_THREADS. So long members are pooled, and short ones, which
+    _each_block stacks, stay on the calling thread."""
     if cfg.generator.segments < PARALLEL_MIN_SAMPLES:
         return 1
     return min(thread_count(), cfg.ensemble_size, _usable_cpus())
@@ -268,6 +269,22 @@ def _each_member(cfg: ExperimentConfig, fn) -> list:
         range(cfg.ensemble_size),
         _ensemble_workers(cfg),
     )
+
+
+def _each_block(cfg: ExperimentConfig, fn) -> list:
+    """fn(members) for each block of consecutive members, its lists of
+    per-member results joined in member order, whatever the thread count.
+
+    A block holds as many members as one block of the grid sweep stacks,
+    so that fn sweeps them in one call: several short members, or one long
+    member, and blocks of long members go to the pool as _each_member's
+    members do."""
+    blocks = parallel_map(
+        lambda ks: fn([_member(cfg, i) for i in ks]),
+        partitions._row_blocks([cfg.generator.segments + 1] * cfg.ensemble_size),
+        _ensemble_workers(cfg),
+    )
+    return [result for block in blocks for result in block]
 
 
 def _median(values) -> float:
@@ -427,7 +444,12 @@ def _exp_qv_converge(cfg: ExperimentConfig):
 def _exp_ttv_converge(cfg: ExperimentConfig):
     exps = list(cfg.c_exponents)
     grid = GridSpec(2.0**-cfg.est_level, 0.0)
-    values, est = zip(*_each_member(cfg, lambda i, x: (x.values, quadvar._terminal_qv(x, grid))))
+
+    def block(members):
+        values = [x.values for x in members]
+        return list(zip(values, quadvar._terminal_qv(values, grid)))
+
+    values, est = zip(*_each_block(cfg, block))
     est = np.asarray(est)
     cs = [float(m) ** -2 for m in exps]
     ttv = truncvar._ttv_batch(np.stack(values), cs)
@@ -494,7 +516,7 @@ def _exp_isometry_mc(cfg: ExperimentConfig):
         if wiener:
             qv = quadvar._bridge_terminal_qv(x, _member_generator(cfg, i), m)
         else:
-            qv = quadvar._terminal_qv(x, grid)
+            qv = quadvar._terminal_qv([x.values], grid)[0]
         return float((x.values[-1] - x.values[0]) ** 2), qv
 
     disp, qv = (np.asarray(col) for col in zip(*_each_member(cfg, one)))
@@ -529,11 +551,13 @@ def _exp_isometry_mc(cfg: ExperimentConfig):
 def _exp_bdg_mc(cfg: ExperimentConfig):
     grid = GridSpec(0.05, 0.0)
 
-    def one(i, x):
-        s = bdg._terminal_sequence(x, grid)
-        return float(s.abs_max[-1]), float(s.bracket[-1])
+    def block(members):
+        return [
+            (float(s.abs_max[-1]), float(s.bracket[-1]))
+            for s in bdg._terminal_sequence([x.values for x in members], grid)
+        ]
 
-    xs, br = (np.asarray(col) for col in zip(*_each_member(cfg, one)))
+    xs, br = (np.asarray(col) for col in zip(*_each_block(cfg, block)))
     checks = []
     table = []
     for p in cfg.p_list:

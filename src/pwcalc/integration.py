@@ -35,7 +35,7 @@ from .bdg import BdgCertificate, certify_path
 from .partitions import StoppingSequence, _level_sequence, _merge_stops
 from .paths import REL_TOL, SampledPath, _exit_times, _frozen, _interp, evaluate_many
 from .paths import hitting_time_abs
-from .quadvar import _sup_gaps, qv_at, qv_estimate_dyadic, sup_distance
+from .quadvar import _qv_along, _sup_gaps, qv_estimate_dyadic, sup_distance
 
 _MAX_VARIATION = 1e12
 
@@ -101,13 +101,22 @@ def witness_identity_gap(x: SampledPath, seq: StoppingSequence, threshold: float
 
 
 def _witness_gap(x: SampledPath, seq: StoppingSequence, sigma: float) -> float:
-    """witness_identity_gap for a sigma already solved."""
+    """witness_identity_gap for a sigma already solved.
+
+    The capital's stamps hold every stop, so each stop up to t = min(sigma,
+    horizon) is one of the stamps up to t: the count of stops at or before
+    each stamp, less one, is qv_at's index of its last stop, found without
+    a search per stamp."""
     w = seq.values
+    t = min(sigma, x.horizon)
     cap = capital_process(_stopped_strategy(seq, 2.0 * (w - w[0]), sigma), x)
-    stamps = _prefix_stamps(cap.times, min(sigma, x.horizon))
+    stamps = _prefix_stamps(cap.times, t)
     lhs = evaluate_many(cap, stamps)
     dx = evaluate_many(x, stamps) - x.values[0]
-    rhs = dx * dx - qv_at(x, seq, stamps)
+    stops = seq.times[: int(np.searchsorted(seq.times, t, side="right"))]
+    idx = np.cumsum(np.bincount(np.searchsorted(stamps, stops), minlength=stamps.size))
+    idx -= 1
+    rhs = dx * dx - _qv_along(x, w, stamps, idx)
     return float(np.max(np.abs(lhs - rhs)))
 
 

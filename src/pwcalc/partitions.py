@@ -6,8 +6,8 @@ previous stop. On a continuous path consecutive stop values are adjacent grid
 levels, so stop values are snapped to exact k*d + r floats; the one exception
 is the initial value, which is the raw X_0 whether or not it lies on the grid.
 
-All hits are extracted in one vectorized pass, for one mesh and any number of
-offsets at once: each linear segment owns the grid levels it sweeps strictly
+All hits are extracted in one vectorized pass, for any stack of paths and
+grids at once: each linear segment owns the grid levels it sweeps strictly
 after its start sample (so a sample lying exactly on a level belongs to the
 segment that ends there), and re-touches of the current level are dropped. A
 hit exactly on a level counts as reaching it. Hit times are solved only by
@@ -16,7 +16,6 @@ the readers that need them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +25,9 @@ from .paths import ResourceLimitError, SampledPath, _frozen, evaluate_many
 
 MAX_GRID_HITS = 10**8
 
-# segments per block of the grid sweep, for one offset: bounds the
-# temporaries, keeps each numpy call long
+# a block of the grid sweep holds as many whole rows as fit in _BLOCK + 1
+# cells, else _BLOCK segments of one row: bounds the temporaries, keeps each
+# numpy call long
 _BLOCK = 32768
 
 
@@ -95,73 +95,97 @@ def _merge_stops(times: np.ndarray, stops: np.ndarray):
     return merged[last], idx[last]
 
 
-def _level_runs(path: SampledPath, d: float, offsets):
-    """The grid sweep: the level runs of the path on d*Z + r for each r of offsets.
+def _level_runs(rows):
+    """The grid sweep: the level runs of each row of a stack, a row being
+    the samples of a path and a grid d*Z + r, given as (values, d, r).
 
-    Returns (start_on_grid, runs). start_on_grid[k] says whether X_0 lies on
-    grid k, and runs[k] = (seg, cnt, first, step) are offset k's runs over
-    the whole path in time order: run i hits the cnt[i] levels first[i],
+    Returns (start_on_grid, runs). start_on_grid[k] says whether row k's X_0
+    lies on its grid, and runs[k] = (seg, cnt, first, step) are row k's runs
+    over its whole path in time order: run i hits the cnt[i] levels first[i],
     first[i] + step[i], ... on segment seg[i], with step[i] = +1 or -1. A
     run hits every level its segment sweeps strictly after its start sample,
-    less a re-touch of the level of the latest stop, so no two consecutive
-    hits share a level.
+    less a re-touch of the level of the row's latest stop, so no two
+    consecutive hits share a level. One path on several grids is the stack
+    whose rows share one array of values, whose extrema are then read once.
 
-    No temporary holds more cells than a single-offset block of _BLOCK
-    segments, and the block buffers are allocated once per call. The limit
-    MAX_GRID_HITS is read as the sweep runs and checked per offset, on its
-    running count of swept levels, so it trips before any reader expands a hit.
-    Its readers are _grid_hits, _stop_values and _transition_counts.
+    Rows are swept in blocks of at most _BLOCK + 1 cells, one cell per
+    sample: as many consecutive whole rows as fit, else _BLOCK segments of
+    one row, so only a row swept in several blocks carries its latest stop
+    to the next. No temporary holds more cells than a block, and the block
+    buffers are allocated once per call. Each row keeps its own state, so
+    its runs do not depend on the other rows. The limit MAX_GRID_HITS is
+    read as the sweep runs and checked per row, on its running count of
+    swept levels, so it trips on the row that passes it before any reader
+    expands a hit. Its readers are _grid_hits, _stop_values and
+    _transition_counts.
     """
-    v, offsets = path.values, list(offsets)
-    vmax, vmin, v0 = float(v.max()), float(v.min()), float(v[0])
-    start_on_grid, prev = [], []
-    for r in offsets:
+    rows = list(rows)
+    start_on_grid, prev, extrema = [], [], {}
+    for v, d, r in rows:
+        if id(v) not in extrema:
+            extrema[id(v)] = float(v.max()), float(v.min())
+        vmax, vmin = extrema[id(v)]
         _check_span(max(vmax - r, r - vmin) / d)
+        v0 = float(v[0])
         j0 = round((v0 - r) / d)
         start_on_grid.append(j0 * d + r == v0)
-        # the level of the offset's latest stop, if on the grid
+        # the level of the row's latest stop, if on the grid
         prev.append(j0 if start_on_grid[-1] else None)
-    n = v.size - 1
-    # a block holds at most _BLOCK + 1 cells: the whole path for as many
-    # offsets as fit, else _BLOCK segments of one offset, so only one-offset
-    # blocks carry a latest stop to the next block
-    group = max(1, min(len(offsets), (_BLOCK + 1) // (n + 1)))
-    size = max(1, min(n, _BLOCK))
-    swept = [0] * len(offsets)
-    pieces = [[] for _ in offsets]
-    # one row of cells per offset, one column per sample; the last column
-    # starts no segment
-    cells = np.empty(group * (size + 1))
+    sizes = [v.size for v, _, _ in rows]
+    groups = list(_row_blocks(sizes))
+    swept = [0] * len(rows)
+    pieces = [[] for _ in rows]
+    most = max((sum(sizes[ks.start : ks.stop]) for ks in groups), default=0)
+    cells = np.empty(min(most, _BLOCK + 1))
     bufs = _sweep_buffers(cells.size)
-    for g, b in itertools.product(range(0, len(offsets), group), range(0, n, size)):
-        ks = range(g, min(len(offsets), g + group))
-        rows, nb = len(ks), min(n, b + size) - b
-        width = nb + 1
-        lo = cells[: rows * width]
-        for j, k in enumerate(ks):
-            row, r = lo[j * width : (j + 1) * width], offsets[k]
-            if r:
-                np.subtract(v[b : b + width], r, out=row)
-                row /= d
-            else:  # v - 0.0 is v, bit for bit: one pass fewer
-                np.divide(v[b : b + width], d, out=row)
-        block = _block_runs(lo, bufs, width, ks, prev, swept)
-        if block is None:
-            continue
-        seg, c, first, step = block
-        keep = np.flatnonzero(c > 0.0)
-        if keep.size == 0:
-            continue
-        seg = seg[keep]
-        at = _row_bounds(seg, rows, width)
-        cnt, first, step = c[keep].astype(np.int64), first[keep], step[keep]
-        for j, k in enumerate(ks):
-            if at[j] < at[j + 1]:
-                runs = slice(at[j], at[j + 1])
-                # flat cell index to segment index
-                seg[runs] += b - j * width
-                pieces[k].append((seg[runs], cnt[runs], first[runs], step[runs]))
+    for ks in groups:
+        # a group of several rows is one block; a longer row is swept
+        # _BLOCK segments at a time
+        for b in range(0, max(sizes[ks.start : ks.stop]) - 1, _BLOCK):
+            # starts[j] is the first cell of row ks[j]; the last cell of a
+            # row starts no segment
+            starts = [0]
+            for k in ks:
+                v, d, r = rows[k]
+                src = v[b : b + _BLOCK + 1]
+                row = cells[starts[-1] : starts[-1] + src.size]
+                if r:
+                    np.subtract(src, r, out=row)
+                    row /= d
+                else:  # v - 0.0 is v, bit for bit: one pass fewer
+                    np.divide(src, d, out=row)
+                starts.append(starts[-1] + src.size)
+            block = _block_runs(cells[: starts[-1]], bufs, starts, ks, prev, swept)
+            if block is None:
+                continue
+            seg, c, first, step = block
+            keep = np.flatnonzero(c > 0.0)
+            if keep.size == 0:
+                continue
+            seg = seg[keep]
+            at = _row_bounds(seg, starts)
+            cnt, first, step = c[keep].astype(np.int64), first[keep], step[keep]
+            for j, k in enumerate(ks):
+                if at[j] < at[j + 1]:
+                    runs = slice(at[j], at[j + 1])
+                    if b != starts[j]:  # flat cell index to segment index
+                        seg[runs] += b - starts[j]
+                    pieces[k].append((seg[runs], cnt[runs], first[runs], step[runs]))
     return start_on_grid, [_joined(p) for p in pieces]
+
+
+def _row_blocks(sizes: list):
+    """The rows of sizes[k] samples in order, grouped as the grid sweep's
+    blocks hold them: as many consecutive whole rows as fit in _BLOCK + 1
+    cells, one cell per sample, and a longer row alone."""
+    k = 0
+    while k < len(sizes):
+        j, cells = k + 1, sizes[k]
+        while j < len(sizes) and cells + sizes[j] <= _BLOCK + 1:
+            cells += sizes[j]
+            j += 1
+        yield range(k, j)
+        k = j
 
 
 def _check_span(meshes: float) -> None:
@@ -177,16 +201,17 @@ def _sweep_buffers(cells: int) -> tuple:
     return np.empty((3, cells)), np.empty((4, cells)), np.empty((2, cells), dtype=bool)
 
 
-def _block_runs(lo: np.ndarray, bufs: tuple, width: int, ks, prev: list, swept: list):
+def _block_runs(lo: np.ndarray, bufs: tuple, starts: list, ks, prev: list, swept: list):
     """The level runs of one block of the grid sweep, the one place that
     turns a path's values into runs.
 
-    lo holds the block's samples in grid units, (v - r) / d, one row of width
-    samples for each offset k of ks; the last sample of a row starts no
-    segment, and the next block of the same offset starts on it. lo is
-    overwritten. prev[k], the level of offset k's latest stop or None, and
-    swept[k], its running count of swept levels, are carried to the end of
-    the block; ResourceLimitError once a count passes MAX_GRID_HITS.
+    lo holds the block's samples in grid units, (v - r) / d, for each row k
+    of ks, row ks[j] in cells starts[j] .. starts[j + 1] - 1; the last sample
+    of a row starts no segment, and the next block of the same row starts on
+    it. lo is overwritten. prev[k], the level of row k's latest stop or
+    None, and swept[k], its running count of swept levels, are carried to
+    the end of the block; ResourceLimitError once a count passes
+    MAX_GRID_HITS.
 
     Returns None when no segment sweeps a level, else (seg, cnt, first,
     step), in row order: run i hits the cnt[i] levels first[i],
@@ -194,8 +219,8 @@ def _block_runs(lo: np.ndarray, bufs: tuple, width: int, ks, prev: list, swept: 
     and a run whose only level was a re-touch of the level of the latest
     stop has cnt 0. All but seg are views of bufs.
     """
-    rows, nb = len(ks), width - 1
-    hi, rise, cnt = (x[: rows * width] for x in bufs[0])
+    size = starts[-1]
+    hi, rise, cnt = (x[:size] for x in bufs[0])
     np.ceil(lo, out=hi)
     np.floor(lo, out=lo)
     # a segment going up sweeps floor(a)+1 .. floor(b), going down
@@ -203,14 +228,15 @@ def _block_runs(lo: np.ndarray, bufs: tuple, width: int, ks, prev: list, swept: 
     np.subtract(lo[1:], lo[:-1], out=rise[:-1])
     np.subtract(hi[:-1], hi[1:], out=cnt[:-1])
     np.maximum(cnt[:-1], rise[:-1], out=cnt[:-1])
-    cnt[nb::width] = 0.0
-    crosses = bufs[2][0][: rows * width]
+    for end in starts[1:]:
+        cnt[end - 1] = 0.0
+    crosses = bufs[2][0][:size]
     np.greater(cnt, 0.0, out=crosses)
     seg = np.flatnonzero(crosses)
     if seg.size == 0:
         return None
-    at = _row_bounds(seg, rows, width)
-    live = [j for j in range(rows) if at[j] < at[j + 1]]
+    at = _row_bounds(seg, starts)
+    live = [j for j in range(len(ks)) if at[j] < at[j + 1]]
     c, step, first, last = (x[: seg.size] for x in bufs[1])
     up, again = (x[: seg.size] for x in bufs[2])
     np.take(cnt, seg, out=c, mode="clip")
@@ -230,9 +256,11 @@ def _block_runs(lo: np.ndarray, bufs: tuple, width: int, ks, prev: list, swept: 
     last *= step
     last += first
     np.equal(first[1:], last[:-1], out=again[1:])
-    for j in live:
+    # each live row's swept levels: rows between two live ones hold no run
+    sums = np.add.reduceat(c, [at[j] for j in live]).tolist()
+    for j, total in zip(live, sums):
         k = ks[j]
-        swept[k] += int(c[at[j] : at[j + 1]].sum())
+        swept[k] += int(total)
         if swept[k] > MAX_GRID_HITS:
             raise ResourceLimitError(
                 f"grid hit extraction would produce over {swept[k]:.3g} stops "
@@ -246,16 +274,16 @@ def _block_runs(lo: np.ndarray, bufs: tuple, width: int, ks, prev: list, swept: 
     return seg, c, first, step
 
 
-def _row_bounds(cells: np.ndarray, rows: int, width: int) -> list:
-    """bounds such that cells[bounds[k]:bounds[k + 1]] lie in row k, for
-    sorted flat indices into rows of width cells."""
-    if rows == 1:  # no search: a single-offset sweep pays nothing for the rows
+def _row_bounds(cells: np.ndarray, starts: list) -> list:
+    """bounds such that cells[bounds[j]:bounds[j + 1]] lie in row j, for
+    sorted flat indices into rows whose first cells are starts."""
+    if len(starts) == 2:  # no search: a one-row block pays nothing for the rows
         return [0, cells.size]
-    return np.searchsorted(cells, np.arange(rows + 1) * width).tolist()
+    return np.searchsorted(cells, starts).tolist()
 
 
 def _joined(pieces: list) -> tuple:
-    """One offset's (seg, cnt, first, step) over the whole path, from its
+    """One row's (seg, cnt, first, step) over the whole path, from its
     blocks' pieces in time order."""
     if len(pieces) == 1:  # one block's arrays are fresh: no copy
         return pieces[0]
@@ -301,39 +329,46 @@ def _hit_times(path: SampledPath, seg, own, lev, d: float, r: float) -> np.ndarr
 
 def _grid_hits(path: SampledPath, d: float, r: float):
     """All successive different-level grid hits of the path, in time order:
-    the runs expanded, then their hit times solved. _level_sequence reads it.
+    the runs of a one-row sweep expanded, then their hit times solved.
+    _level_sequence reads it.
 
     Returns (hit_times, hit_levels, start_on_grid); levels are int64 grid
     indices, hit value = level * d + r. hit_times excludes time 0.
     """
-    (on_grid,), ((seg, cnt, first, step),) = _level_runs(path, d, [r])
+    (on_grid,), ((seg, cnt, first, step),) = _level_runs([(path.values, d, r)])
     own, lev = _run_levels(cnt, first, step)
     return _hit_times(path, seg, own, lev, d, r), lev.astype(np.int64), on_grid
 
 
-def _stop_values(path: SampledPath, d: float, r: float) -> np.ndarray:
-    """The values of the level sequence on d*Z + r, bitwise
-    lebesgue_sequence(...).values, without solving a hit time; for
+def _stop_values(samples, d: float, r: float) -> list:
+    """The values of the level sequence on d*Z + r of each path whose
+    samples are a row of samples, bitwise lebesgue_sequence(...).values,
+    from one sweep of the stack and without solving a hit time; for
     quadvar._terminal_qv and bdg._terminal_sequence."""
-    _, ((_, cnt, first, step),) = _level_runs(path, d, [r])
-    return _snap(path, _run_levels(cnt, first, step)[1], d, r)
+    samples = list(samples)
+    _, runs = _level_runs([(v, d, r) for v in samples])
+    return [
+        _snap(v[0], _run_levels(cnt, first, step)[1], d, r)
+        for v, (_, cnt, first, step) in zip(samples, runs)
+    ]
 
 
-def _snap(path: SampledPath, lev: np.ndarray, d: float, r: float) -> np.ndarray:
-    """Stop values: the raw X_0, then each grid level of lev snapped to
+def _snap(x0: float, lev: np.ndarray, d: float, r: float) -> np.ndarray:
+    """Stop values: the raw X_0 = x0, then each grid level of lev snapped to
     lev * d + r. The one stop-value rule, for _level_sequence and
     _stop_values."""
     values = np.empty(lev.size + 1)
-    values[0] = path.values[0]
+    values[0] = x0
     np.multiply(lev, d, out=values[1:])
     values[1:] += r
     return values
 
 
-def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None = None):
-    """truncvar.transition_count on the grid mesh*Z + r for each r of
-    offsets, from one sweep of the path. transition_count is its one-offset
-    case, and truncvar.sandwich_check counts each shifted family in one call.
+def _transition_counts(path: SampledPath, grids, t: float | None = None):
+    """truncvar.transition_count on each grid mesh*Z + offset of grids, a
+    sequence of (mesh, offset), from one sweep of the path's stack of grids.
+    transition_count is its one-grid case, and truncvar.sandwich_check
+    counts all its shifted families in one call.
 
     A run of level hits on a segment that ends by t counts whole, and one on
     a segment that starts after t not at all. Only the run on the segment
@@ -346,15 +381,16 @@ def _transition_counts(path: SampledPath, mesh: float, offsets, t: float | None 
     # segment j holds upto, and runs on earlier segments end by it; j is the
     # segment count once upto reaches the horizon
     j = int(np.searchsorted(path.times, upto, side="right")) - 1
-    on_grid, runs = _level_runs(path, mesh, offsets)
-    hits = np.zeros(len(on_grid), dtype=np.int64)
-    for k, (seg, cnt, first, step) in enumerate(runs):
-        i = int(np.searchsorted(seg, j))
-        hits[k] = int(cnt[:i].sum())
+    grids = list(grids)
+    on_grid, runs = _level_runs([(path.values, d, r) for d, r in grids])
+    hits = np.zeros(len(grids), dtype=np.int64)
+    for k, ((d, r), (seg, cnt, first, step)) in enumerate(zip(grids, runs)):
+        i = int(seg.searchsorted(j))
+        hits[k] = np.add.reduce(cnt[:i])
         if i < seg.size and seg[i] == j:
             run = slice(i, i + 1)
             own, lev = _run_levels(cnt[run], first[run], step[run])
-            ts = _hit_times(path, seg[run], own, lev, mesh, float(offsets[k]))
+            ts = _hit_times(path, seg[run], own, lev, d, r)
             hits[k] += int(np.count_nonzero(ts <= upto))
     return np.where(hits > 0, hits - 1 + on_grid, 0)
 
@@ -369,7 +405,9 @@ def _level_sequence(path: SampledPath, d: float, r: float):
     snapped. The one level-sequence constructor: lebesgue_sequence and
     integration.step_approximation build theirs here."""
     ts, lev, _ = _grid_hits(path, d, r)
-    return StoppingSequence(np.concatenate(([0.0], ts)), _snap(path, lev, d, r), path.horizon)
+    return StoppingSequence(
+        np.concatenate(([0.0], ts)), _snap(path.values[0], lev, d, r), path.horizon
+    )
 
 
 @dataclass(frozen=True)

@@ -63,16 +63,26 @@ def _qv_along(path: SampledPath, w: np.ndarray, ts: np.ndarray, idx: np.ndarray)
     return out
 
 
-def _terminal_qv(path: SampledPath, grid: GridSpec) -> float:
-    """Simple QV of the path at its horizon along its level sequence on grid,
-    from the stop values alone; for ttv-converge's reference and
-    isometry-mc's non-wiener members."""
-    w = _stop_values(path, grid.mesh, grid.offset)
-    return float(_qv_along(path, w, np.asarray([path.horizon]), np.asarray([w.size - 1]))[0])
+def _terminal_qv(samples, grid: GridSpec) -> list:
+    """Simple QV at the horizon, along its level sequence on grid, of each
+    path whose samples are a row of samples, bitwise qv_at's: the stop
+    values of the whole stack from one sweep, then each row's sum of squared
+    stop increments, run as _qv_along runs it, and the square of its last
+    sample, the path's value at its horizon, less its last stop value. For
+    ttv-converge's references and isometry-mc's non-wiener members."""
+    samples = list(samples)
+    out = []
+    for v, w in zip(samples, _stop_values(samples, grid.mesh, grid.offset)):
+        sq = np.diff(w)
+        sq *= sq
+        total = float(np.cumsum(sq)[-1]) if sq.size else 0.0
+        last = float(v[-1] - w[-1])
+        out.append(last * last + total)
+    return out
 
 
 def _bridge_terminal_qv(chord: SampledPath, config: PathGeneratorConfig, level: int) -> float:
-    """_terminal_qv(generate(config, level), GridSpec(2^-level)), bitwise,
+    """_terminal_qv([generate(config, level).values], GridSpec(2^-level)), bitwise,
     for chord = generate(config) of a wiener config and a level in [0, 1074],
     without building the resolved member: no resolved time, hit array or
     buffer of 3 samples per leaf is made.
@@ -89,11 +99,11 @@ def _bridge_terminal_qv(chord: SampledPath, config: PathGeneratorConfig, level: 
     d = 2.0**-level
     bridge = _bridge_blocks(chord.values, config, config.horizon / config.segments, d)
     if bridge is None:
-        return _terminal_qv(chord, GridSpec(d))
+        return _terminal_qv([chord.values], GridSpec(d))[0]
     prev, swept, hits = [0], [0], 0
     for u, *leaf_arrays in bridge[1]:
         _check_span(max(u.max(), -u.min()))
-        runs = _block_runs(u, _sweep_buffers(u.size), u.size, range(1), prev, swept)
+        runs = _block_runs(u, _sweep_buffers(u.size), [0, u.size], range(1), prev, swept)
         if runs is not None:
             hits += int(runs[1].sum())
         # the next block is built without this one's arrays

@@ -234,7 +234,7 @@ def transition_count(path: SampledPath, grid: GridSpec, t: float | None = None) 
     move in progress at t never counts. This is the count whose mesh^2
     multiple matches cell crossing sums exactly.
     """
-    return int(_transition_counts(path, grid.mesh, [grid.offset], t)[0])
+    return int(_transition_counts(path, [(grid.mesh, grid.offset)], t)[0])
 
 
 @dataclass(frozen=True)
@@ -253,14 +253,20 @@ class SandwichReport:
         return self.holds_lower and self.holds_upper
 
 
-def _shifted_transition_sum(path: SampledPath, n: int, t: float) -> float:
-    """sum_k mesh^2 * transitions for the n-offset family at mesh n^-2, from
-    one sweep of the family."""
-    d = float(n) ** -2
-    total = 0.0
-    for count in _transition_counts(path, d, [k * float(n) ** -3 for k in range(n)], t).tolist():
-        total += d * d * count
-    return total
+def _shifted_transition_sums(path: SampledPath, ns, t: float) -> dict:
+    """{n: sum_k mesh^2 * transitions for the n-offset family at mesh n^-2}
+    for each n of ns, from one sweep of the stack of all their grids."""
+    ns = sorted(ns)
+    grids = [(float(n) ** -2, k * float(n) ** -3) for n in ns for k in range(n)]
+    counts = iter(_transition_counts(path, grids, t).tolist())
+    sums = {}
+    for n in ns:
+        d = float(n) ** -2
+        total = 0.0
+        for _ in range(n):
+            total += d * d * next(counts)
+        sums[n] = total
+    return sums
 
 
 def sandwich_check(
@@ -270,8 +276,8 @@ def sandwich_check(
 
     Returns one report per m of ms, in order. The stopped time t_eff does not
     depend on m, and the family n serves both m = n + 1 and m = n - 1, so
-    each distinct family is summed once, in one sweep: 8 sweeps a path for
-    m = 3..8.
+    each distinct family is summed once, and all of them from one sweep of
+    the path: 44 grids for m = 3..8.
     """
     ms = list(ms)
     if any(m < 3 for m in ms):
@@ -279,10 +285,8 @@ def sandwich_check(
     big = threshold if threshold is not None else 1.0 + float(np.max(np.abs(path.values)))
     sigma = hitting_time_abs(path, big)
     t_eff = min(path.horizon if t is None else t, sigma, path.horizon)
-    family = {
-        n: n * _shifted_transition_sum(path, n, t_eff)
-        for n in {m + side for m in ms for side in (-1, 1)}
-    }
+    sums = _shifted_transition_sums(path, {m + side for m in ms for side in (-1, 1)}, t_eff)
+    family = {n: n * total for n, total in sums.items()}
     reports = []
     for m in ms:
         middle = ttv_sweep(path, float(m) ** -2, t_eff)

@@ -1,7 +1,8 @@
 """sha256 of every artifact the CLI writes, for a fixed small run of each experiment.
 
 Each of the eight experiments runs at its preset with 3 members and seed 11,
-once without and once with `--oracle`. The digests of `report.json` and of
+once without and once with `--oracle`; two more runs cover what the presets
+miss (EXTRA_RUNS). The digests of `report.json` and of
 every table CSV are kept in report_digests.json, beside the numpy version and
 the platform that wrote them; `run_metadata.json` holds wall-clock and is left
 out.
@@ -30,6 +31,13 @@ DIGEST_FILE = Path(__file__).resolve().with_name("report_digests.json")
 WRITE_COMMAND = "python3 tests/report_digests.py --write"
 MEMBERS = 3
 SEED = 11
+# (key, experiment, settings replaced in its preset): a threshold that stops
+# the sandwich inside a segment, so a partial run's hit times are solved; and
+# ttv-converge on members short enough that several share a sweep block
+EXTRA_RUNS = (
+    ("sandwich threshold=0.5", "sandwich", {"threshold": 0.5}),
+    ("ttv-converge step=2^-11", "ttv-converge", {"step": 2.0**-11}),
+)
 
 
 def environment() -> dict:
@@ -37,29 +45,28 @@ def environment() -> dict:
 
 
 def compute() -> dict:
-    """{"<experiment>[ --oracle]": {artifact file name: sha256}} from this tree."""
+    """{"<run key>": {artifact file name: sha256}} from this tree."""
     from pwcalc.harness import EXPERIMENTS, default_config, run
 
+    runs = [(name + (" --oracle" if oracle else ""), name, {"oracle": oracle})
+            for name in EXPERIMENTS for oracle in (False, True)]
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in EXPERIMENTS:
-            preset = default_config(name)
-            for oracle in (False, True):
-                key = name + (" --oracle" if oracle else "")
-                out = Path(tmp) / key.replace(" ", "")
-                cfg = dataclasses.replace(
-                    preset,
-                    seed=SEED,
-                    ensemble_size=MEMBERS,
-                    oracle=oracle,
-                    output_dir=str(out),
-                )
-                run(cfg)
-                digests[key] = {
-                    f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                    for f in sorted(out.iterdir())
-                    if f.name != "run_metadata.json"
-                }
+        for key, name, settings in [*runs, *EXTRA_RUNS]:
+            preset, settings = default_config(name), dict(settings)
+            if "step" in settings:
+                step = settings.pop("step")
+                settings["generator"] = dataclasses.replace(preset.generator, step=step)
+            out = Path(tmp) / key.replace(" ", "")
+            cfg = dataclasses.replace(
+                preset, seed=SEED, ensemble_size=MEMBERS, output_dir=str(out), **settings
+            )
+            run(cfg)
+            digests[key] = {
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(out.iterdir())
+                if f.name != "run_metadata.json"
+            }
     return digests
 
 

@@ -25,6 +25,7 @@ from pwcalc import (
     lebesgue_sequence,
     localized_integral,
     model_free_integral,
+    qv_at,
     step_approximation,
     stieltjes_integral,
     sup_distance,
@@ -105,6 +106,32 @@ def test_witness_identity_gap_small(seed, d):
     seq = lebesgue_sequence(x, GridSpec(d, 0.0))
     big = 1.0 + float(np.max(np.abs(x.values)))
     assert witness_identity_gap(x, seq, big) <= 1e-9
+
+
+def _witness_gap_reference(x, seq, sigma):
+    """integration._witness_gap with qv_at's search per stamp, verbatim."""
+    w = seq.values
+    cap = capital_process(integration._stopped_strategy(seq, 2.0 * (w - w[0]), sigma), x)
+    stamps = integration._prefix_stamps(cap.times, min(sigma, x.horizon))
+    lhs = evaluate_many(cap, stamps)
+    dx = evaluate_many(x, stamps) - x.values[0]
+    rhs = dx * dx - qv_at(x, seq, stamps)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def test_witness_gap_takes_each_stamp_index_from_the_merge():
+    # stopped inside a segment, at a stop, and never; stops that repeat
+    repeated = StoppingSequence(
+        np.asarray([0.0, 0.5, 0.5, 1.5, 3.0, 3.0]), np.asarray([0.0, 0.5, 0.5, 0.5, 1.0, 1.0]), 3.0
+    )
+    cases = [(ZIGZAG3, UNIT), (ZIGZAG3, repeated)]
+    for seed in range(4):
+        x = generate(PathGeneratorConfig("wiener", step=2.0**-8, seed=seed))
+        cases += [(x, lebesgue_sequence(x, GridSpec(d, 0.01))) for d in (0.05, 0.3)]
+    for x, seq in cases:
+        for sigma in (0.3, float(seq.times[len(seq) // 2]), x.horizon, math.inf):
+            got = integration._witness_gap(x, seq, sigma)
+            assert struct.pack("d", got) == struct.pack("d", _witness_gap_reference(x, seq, sigma))
 
 
 def test_witness_positions_cut_at_threshold():

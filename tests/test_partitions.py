@@ -21,7 +21,7 @@ from pwcalc import (
 )
 from pwcalc import partitions
 from pwcalc.partitions import MAX_GRID_HITS, _BLOCK, _grid_hits, _level_runs, _merge_stops
-from pwcalc.partitions import _stop_values
+from pwcalc.partitions import _run_levels, _stop_values
 
 ZIGZAG3 = SampledPath(np.arange(4.0), np.asarray([0.0, 1.0, 0.0, 1.0]))
 
@@ -173,8 +173,8 @@ def test_every_reader_honours_the_hit_limit_at_call_time(monkeypatch):
     readers = (
         lambda: lebesgue_sequence(x, GridSpec(0.01)),
         lambda: _grid_hits(x, 0.01, 0.0),
-        lambda: _stop_values(x, 0.01, 0.0),
-        lambda: partitions._transition_counts(x, 0.01, [0.0]),
+        lambda: _stop_values([x.values], 0.01, 0.0),
+        lambda: partitions._transition_counts(x, [(0.01, 0.0)]),
     )
     for read in readers:
         read()
@@ -369,7 +369,7 @@ def test_stop_values_are_the_sequence_values_without_hit_times(monkeypatch, mesh
         raise AssertionError("stop values solve no hit time")
 
     monkeypatch.setattr(partitions, "_grid_hits", no_times)
-    assert [_stop_values(x, mesh, r).tobytes() for x in paths] == want
+    assert [w.tobytes() for w in _stop_values([x.values for x in paths], mesh, r)] == want
 
 
 def test_every_offset_of_a_sweep_is_guarded(monkeypatch):
@@ -381,18 +381,80 @@ def test_every_offset_of_a_sweep_is_guarded(monkeypatch):
         for offsets, limited in (([0.1], False), ([0.1, 0.0], True), ([0.0, 0.1], True)):
             if limited:
                 with pytest.raises(ResourceLimitError):
-                    _level_runs(x, 0.25, offsets)
+                    _level_runs([(x.values, 0.25, r) for r in offsets])
             else:
-                runs = _level_runs(x, 0.25, offsets)[1]
+                runs = _level_runs([(x.values, 0.25, r) for r in offsets])[1]
                 assert [cnt.tolist() for _, cnt, _, _ in runs] == [[3]]
     # (r - min) / mesh is 2^53 - 1 on offset 0 but rounds to 2^53 on offset 0.5;
     # past the 2^53 guard, the 2^53 - 1 levels of offset 0 trip the hit limit
     low = SampledPath(np.asarray([0.0, 1.0]), np.asarray([-(2.0**53 - 1.0), 0.0]))
     with pytest.raises(ResourceLimitError):
-        _level_runs(low, 1.0, [0.0])
+        _level_runs([(low.values, 1.0, 0.0)])
     for offsets in ([0.5], [0.0, 0.5]):
         with pytest.raises(ValueError, match="2\\^53"):
-            _level_runs(low, 1.0, offsets)
+            _level_runs([(low.values, 1.0, r) for r in offsets])
+
+
+# grids for EDGE_PATHS: X_0 = 0 and most samples lie on the first, X_0 = 0.1
+# on the last, a few samples on the third, and nothing on the second
+STACK_GRIDS = [(0.25, 0.0), (0.25, 0.125), (0.1, 0.05), (0.5, 0.1)]
+
+
+def _stack_rows():
+    """Rows of mixed samples, meshes and offsets, with and without shared
+    samples: each edge path on every grid, and wiener members of 128
+    segments, one grid each."""
+    rows = [(x.values, d, r) for x in EDGE_PATHS for d, r in STACK_GRIDS]
+    members = [_wiener(seed, step=2.0**-7) for seed in range(4)]
+    rows += [(x.values, d, r) for x, (d, r) in zip(members, STACK_GRIDS)]
+    return rows
+
+
+def _runs_bytes(on_grid, runs):
+    return on_grid, [(a.dtype.str, a.tobytes()) for run in runs for a in run]
+
+
+# at 128 a block holds one wiener row whole, or several edge rows; at 3 and
+# 1 every row of more segments is split
+@pytest.mark.parametrize("block", [_BLOCK, 128, 3, 1])
+def test_rows_of_a_stack_are_swept_as_alone(monkeypatch, block):
+    rows = _stack_rows()
+    alone = [_level_runs([row]) for row in rows]
+    want = [_runs_bytes(on[0], runs) for on, runs in alone]
+    levels = [_run_levels(*runs[0][1:])[1].tobytes() for _, runs in alone]
+    monkeypatch.setattr(partitions, "_BLOCK", block)
+    on_grid, runs = _level_runs(rows)
+    assert [_runs_bytes(o, [r]) for o, r in zip(on_grid, runs)] == want
+    assert [_run_levels(*r[1:])[1].tobytes() for r in runs] == levels
+    # each grid's stop values from one sweep of all the paths
+    samples = [x.values for x in EDGE_PATHS] + [v for v, _, _ in rows[-4:]]
+    for d, r in STACK_GRIDS:
+        got = _stop_values(samples, d, r)
+        wanted = [lebesgue_sequence(SampledPath(np.arange(float(v.size)), v), GridSpec(d, r))
+                  for v in samples]
+        assert [w.tobytes() for w in got] == [seq.values.tobytes() for seq in wanted]
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 3, 1])
+def test_hit_limit_trips_on_the_row_that_passes_it(monkeypatch, block):
+    # 4, 12 and 8 levels at mesh 0.25: a limit of 10 passes only the middle
+    # row, whichever rows come before it, and before any hit is expanded
+    short, long, mid = (SampledPath(np.asarray([0.0, 0.5, 1.0]), np.asarray([0.0, 0.5 * h, h]))
+                        for h in (1.0, 3.0, 2.0))
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("hits expanded before the limit was checked")
+
+    monkeypatch.setattr(partitions, "_BLOCK", block)
+    monkeypatch.setattr(partitions, "MAX_GRID_HITS", 10)
+    under = [(x.values, 0.25, 0.0) for x in (short, mid, short)]
+    assert [int(r[1].sum()) for r in _level_runs(under)[1]] == [4, 8, 4]
+    monkeypatch.setattr(partitions, "_run_levels", no_expansion)
+    for stack in ([short, long], [long, short], [short, mid, long, mid]):
+        with pytest.raises(ResourceLimitError, match="over 12 stops"):
+            _level_runs([(x.values, 0.25, 0.0) for x in stack])
+    with pytest.raises(ResourceLimitError, match="over 12 stops"):
+        _stop_values([short.values, mid.values, long.values], 0.25, 0.0)
 
 
 def test_grid_hits_peak_memory_per_hit():

@@ -240,7 +240,8 @@ def _bits(x) -> bytes:
 def _resolved_pair(cfg, level):
     """(X_T - X_0)^2 and the terminal QV of the member resolved on 2^-level."""
     x = generate(cfg, level)
-    return _bits((x.values[-1] - x.values[0]) ** 2), _bits(_terminal_qv(x, GridSpec(2.0**-level)))
+    (qv,) = _terminal_qv([x.values], GridSpec(2.0**-level))
+    return _bits((x.values[-1] - x.values[0]) ** 2), _bits(qv)
 
 
 def _kernel_pair(cfg, level):

@@ -2,8 +2,9 @@
 table the CLI writes stays byte-identical unless a change says why.
 
 report_digests.json holds the sha256 of each artifact of all eight
-experiments at 3 members and seed 11, with and without --oracle. The rerun
-takes about 2 s and names the runs whose bytes moved.
+experiments at 3 members and seed 11, with and without --oracle, and of the
+runs report_digests.EXTRA_RUNS adds. The rerun takes about 2 s and names
+the runs whose bytes moved.
 """
 
 import report_digests

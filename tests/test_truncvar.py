@@ -472,22 +472,46 @@ def test_transition_counts_are_the_per_offset_counts(monkeypatch, block, x, mesh
     assert inside or x.times.size == 1
     ts = [None, 0.0, 1e-9, *hits, *inside, x.horizon, x.horizon + 1.0]
     want = [[_transition_count_reference(x, GridSpec(mesh, r), t) for r in offsets] for t in ts]
+    grids = [(mesh, r) for r in offsets]
     # a sweep of several offsets carries each one's latest stop across blocks
     monkeypatch.setattr(partitions, "_BLOCK", block)
     for t, counts in zip(ts, want):
-        assert partitions._transition_counts(x, mesh, offsets, t).tolist() == counts
+        assert partitions._transition_counts(x, grids, t).tolist() == counts
         assert [transition_count(x, GridSpec(mesh, r), t) for r in offsets] == counts
     with pytest.raises(ValueError, match="t must not be negative"):
-        partitions._transition_counts(x, mesh, offsets, -1.0)
+        partitions._transition_counts(x, grids, -1.0)
 
 
 def test_shifted_transition_sums():
-    assert truncvar._shifted_transition_sum(ZIGZAG3, 2, 3.0) == pytest.approx(
+    assert truncvar._shifted_transition_sums(ZIGZAG3, [2], 3.0)[2] == pytest.approx(
         1.3125, abs=1e-15
     )
-    assert truncvar._shifted_transition_sum(ZIGZAG4, 2, 4.0) == pytest.approx(
+    assert truncvar._shifted_transition_sums(ZIGZAG4, [2], 4.0)[2] == pytest.approx(
         1.75, abs=1e-15
     )
+
+
+# the sandwich preset's two fixtures, and a member of its 2^12 steps
+_SANDWICH_PATHS = [
+    generate(PathGeneratorConfig("zigzag", horizon=3.0, step=1.0, seed=0)),
+    generate(PathGeneratorConfig("zigzag", horizon=2.0, step=0.25, seed=0, volatility=0.5)),
+    generate(PathGeneratorConfig("wiener", step=2.0**-12, seed=5)),
+]
+
+
+@pytest.mark.parametrize("x", _SANDWICH_PATHS)
+def test_family_sums_from_one_sweep_are_the_per_family_counts(x):
+    ns = range(2, 10)
+    # stopped where |X| first reaches 0.5: inside a segment of the first
+    # zigzag, on a sample of the second
+    for t in (paths.hitting_time_abs(x, 0.5), x.horizon):
+        assert t <= x.horizon
+        sums = truncvar._shifted_transition_sums(x, ns, t)
+        for n in ns:
+            d, want = float(n) ** -2, 0.0
+            for k in range(n):
+                want += d * d * transition_count(x, GridSpec(d, k * float(n) ** -3), t)
+            assert _bits(sums[n]) == _bits(want), (n, t)
 
 
 def test_sandwich_zigzag_exact_values():
@@ -546,9 +570,9 @@ def test_sandwich_sums_each_family_once(monkeypatch, kw):
         truncvar, "hitting_time_abs", counted("hitting_time_abs", paths.hitting_time_abs)
     )
     reps = sandwich_check(x, range(3, 9), **kw)
-    # families n = 2..9, one sweep each; one grid-hit extraction per offset
-    # took 44, and per m 66
-    assert calls == {"_transition_counts": 8, "_grid_hits": 0, "hitting_time_abs": 1}
+    # families n = 2..9, 44 grids in one sweep; one sweep per family took 8,
+    # one grid-hit extraction per offset 44, and per m 66
+    assert calls == {"_transition_counts": 1, "_grid_hits": 0, "hitting_time_abs": 1}
     assert [rep.m for rep in reps] == list(range(3, 9))
     for rep, ref in zip(reps, refs):
         for field in dataclasses.fields(ref):
